@@ -25,16 +25,10 @@ from .harness import (
     SweepSpec,
     verify_burning_rate_perturbation,
     verify_domain_length_convergence,
+    verify_flow_uniform_decay,
     verify_narrow_planarity,
+    verify_nash_ratio,
     verify_nonplanar_front,
-)
-from .inequalities import (
-    DecayExperiment,
-    FlowSpec,
-    decay_constant_sup,
-    decay_experiment,
-    nash_fuzz_corpus,
-    nash_ratio,
 )
 from .laminar import ReactionModel, laminar_speed
 
@@ -134,9 +128,9 @@ def _cmd_verify(args) -> int:
             reaction=ReactionModel("quad_ignition", 0.25)
         )
     elif args.experiment == "nash":
-        report = _nash_report()
+        report = verify_nash_ratio()
     elif args.experiment == "decay":
-        report = _decay_report()
+        report = verify_flow_uniform_decay()
     else:  # envelopes of a laminar run
         report = envelope_report(
             SimConfig(
@@ -153,58 +147,6 @@ def _cmd_verify(args) -> int:
         with open(f"{args.outdir}/report_{args.experiment}.txt", "w", newline="\n") as fh:
             fh.write(text)
     return _EXIT_OK if report.passed else _EXIT_VERDICT
-
-
-def _nash_report():
-    from .harness import Report
-
-    rep = Report(title="nash-ratio")
-    fields = nash_fuzz_corpus(n_fields=1000, grid_shape=(129, 33))
-    ratios = np.array([nash_ratio(f, f.grid.lam) for f in fields])
-    refined = nash_fuzz_corpus(n_fields=1000, grid_shape=(257, 65))
-    ratios_fine = np.array([nash_ratio(f, f.grid.lam) for f in refined])
-    base = nash_ratio(fields[0], fields[0].grid.lam)
-    scaled = nash_ratio(
-        ScalarField(fields[0].grid, 10.0 * fields[0].values), fields[0].grid.lam
-    )
-    rep.add("scale_invariance", abs(scaled / base - 1.0), 1e-10,
-            abs(scaled / base - 1.0) <= 1e-10)
-    rep.add("min_ratio", ratios.min(), 0.0, ratios.min() > 0.0)
-    drift = abs(ratios.min() - ratios_fine.min()) / ratios_fine.min()
-    rep.add("refinement_drift", drift, 0.01, drift <= 0.01)
-    rep.data["min_ratio_fine"] = float(ratios_fine.min())
-    return rep.finalize()
-
-
-def _decay_report():
-    from .harness import Report
-
-    rep = Report(title="flow-uniform-decay")
-    flows = {
-        "zero": FlowSpec(),
-        "shear5": FlowSpec("shear", 5.0),
-        "cellular5": FlowSpec("cellular", 5.0, 4, 1),
-        "cellular10": FlowSpec("cellular", 10.0, 4, 1),
-    }
-    consts = {}
-    zero_series = None
-    for name, spec in flows.items():
-        series = decay_experiment(DecayExperiment(flow=spec))
-        consts[name] = decay_constant_sup(series, 1.0, 1.0)
-        drift = float(np.abs(series.l1 - series.l1[0]).max() / series.l1[0])
-        rep.add(f"mass_drift_{name}", drift, 1e-8, drift <= 1e-8)
-        if name == "zero":
-            zero_series = series
-    band = max(consts.values()) / min(consts.values())
-    rep.add("uniformity_band", band, 2.0, band <= 2.0)
-    rep.data["decay_constants"] = consts
-
-    fine = decay_experiment(DecayExperiment(nx=512, nz=65, dt=0.005))
-    keep = zero_series.t >= 1.0
-    fine_at = np.interp(zero_series.t[keep], fine.t, fine.linf)
-    rel = float(np.abs(zero_series.linf[keep] - fine_at).max() / fine_at.max())
-    rep.add("zero_flow_vs_refined_oracle", rel, 0.05, rel <= 0.05)
-    return rep.finalize()
 
 
 def _cmd_selftest(args) -> int:

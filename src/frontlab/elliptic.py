@@ -2,8 +2,10 @@
 
 The plans diagonalize the 3-point finite-difference Laplacian, not the
 continuum operator: DST-I modes are its exact eigenvectors under
-Dirichlet ends, DCT-I modes under reflective Neumann ends.  Solves are
-therefore exact relative to the stencils, up to transform round-off.
+Dirichlet ends, DCT-I modes under reflective Neumann ends, and real
+Fourier modes under a periodic x (nx distinct nodes, period nx*hx).
+Solves are therefore exact relative to the stencils, up to transform
+round-off.
 
 Inhomogeneous Dirichlet data in x (temperature fields) must be lifted to
 homogeneous form first; linear_lift/lift_x/unlift_x do that.
@@ -11,15 +13,16 @@ homogeneous form first; linear_lift/lift_x/unlift_x do that.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy.fft import dct, dst, idct, idst
+from scipy.fft import dct, dst, idct, idst, irfft, rfft
 
 from .errors import ConfigurationError
 from .grid import (
     DIRICHLET,
     NEUMANN,
+    PERIODIC,
     BoundaryKind,
     ScalarField,
     StripGrid,
@@ -28,44 +31,37 @@ from .grid import (
 
 SINE = "sine"
 COSINE = "cosine"
+_AXIS_KINDS = {DIRICHLET: SINE, NEUMANN: COSINE, PERIODIC: PERIODIC}
+_FORWARD = {SINE: partial(dst, type=1), COSINE: partial(dct, type=1), PERIODIC: rfft}
+_INVERSE = {SINE: partial(idst, type=1), COSINE: partial(idct, type=1)}
 
 
 def _mode_eigenvalues(n: int, h: float, kind: str) -> np.ndarray:
     """Eigenvalues of the 1D 3-point Laplacian under the given transform."""
-    if kind == SINE:
-        k = np.arange(1, n - 1)
+    if kind == PERIODIC:
+        k, period = np.arange(n // 2 + 1), n
     else:
-        k = np.arange(n)
-    return -(4.0 / h**2) * np.sin(np.pi * k / (2.0 * (n - 1))) ** 2
-
-
-def _axis_kind(end_kind: str) -> str:
-    if end_kind == DIRICHLET:
-        return SINE
-    if end_kind == NEUMANN:
-        return COSINE
-    raise ConfigurationError(f"no transform for boundary kind {end_kind!r}")
+        k = np.arange(1, n - 1) if kind == SINE else np.arange(n)
+        period = 2.0 * (n - 1)
+    return -(4.0 / h**2) * np.sin(np.pi * k / period) ** 2
 
 
 class EllipticPlan:
     """Immutable transform plan for one (grid, bc) pair.
 
     Dirichlet directions transform the interior nodes with DST-I; Neumann
-    directions transform all nodes with DCT-I.  Dirichlet boundary values
-    are treated as homogeneous; callers lift inhomogeneities.
+    directions transform all nodes with DCT-I; a periodic x transforms
+    all nodes with the real FFT.  Dirichlet boundary values are treated
+    as homogeneous; callers lift inhomogeneities.
     """
 
     def __init__(self, grid: StripGrid, bc: BoundaryKind):
-        if bc.x_periodic:
-            raise ConfigurationError("periodic plans are not supported here")
         if bc.x_left.kind != bc.x_right.kind:
             raise ConfigurationError("mixed x-end kinds have no transform plan")
         self.grid = grid
         self.bc = bc
-        self.x_kind = _axis_kind(bc.x_left.kind)
-        self.z_kind = _axis_kind(
-            DIRICHLET if bc.z_walls == "dirichlet_zero" else NEUMANN
-        )
+        self.x_kind = _AXIS_KINDS[bc.x_left.kind]
+        self.z_kind = SINE if bc.z_walls == "dirichlet_zero" else COSINE
         mux = _mode_eigenvalues(grid.nx, grid.hx, self.x_kind)
         muz = _mode_eigenvalues(grid.nz, grid.hz, self.z_kind)
         self.eigenvalues = mux[:, None] + muz[None, :]
@@ -74,17 +70,16 @@ class EllipticPlan:
 
     @property
     def has_zero_mode(self) -> bool:
-        return self.x_kind == COSINE and self.z_kind == COSINE
+        return self.x_kind != SINE and self.z_kind == COSINE
 
     def _forward(self, a: np.ndarray) -> np.ndarray:
-        a = dst(a, type=1, axis=0) if self.x_kind == SINE else dct(a, type=1, axis=0)
-        a = dst(a, type=1, axis=1) if self.z_kind == SINE else dct(a, type=1, axis=1)
-        return a
+        return _FORWARD[self.z_kind](_FORWARD[self.x_kind](a, axis=0), axis=1)
 
     def _inverse(self, a: np.ndarray) -> np.ndarray:
-        a = idst(a, type=1, axis=0) if self.x_kind == SINE else idct(a, type=1, axis=0)
-        a = idst(a, type=1, axis=1) if self.z_kind == SINE else idct(a, type=1, axis=1)
-        return a
+        if self.x_kind == PERIODIC:
+            # irfft takes the complex x-spectrum, so z is undone first
+            return irfft(_INVERSE[self.z_kind](a, axis=1), n=self.grid.nx, axis=0)
+        return _INVERSE[self.z_kind](_INVERSE[self.x_kind](a, axis=0), axis=1)
 
     def _solve(self, rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
         """Solve denom(mu) * u_hat = rhs_hat on the plan's lattice."""
@@ -95,7 +90,7 @@ class EllipticPlan:
 
     def solve_poisson(self, rhs: ScalarField) -> ScalarField:
         if self.has_zero_mode:
-            raise ConfigurationError("Poisson is singular for an all-Neumann plan")
+            raise ConfigurationError("Poisson is singular for a plan with a constant mode")
         u = self._solve(rhs.values, self.eigenvalues)
         return ScalarField(self.grid, u, self.bc)
 
@@ -132,7 +127,7 @@ def poincare_mode_constant(bc: BoundaryKind, grid: StripGrid) -> float:
     """
     plan = plan_for(grid, bc)
     if plan.has_zero_mode:
-        raise ConfigurationError("all-Neumann plan has a zero mode")
+        raise ConfigurationError("plan has a zero (constant) mode")
     mu = np.abs(plan.eigenvalues)
     mu_min = mu[mu > 0.0].min()
     return float(1.0 / np.sqrt(mu_min))

@@ -215,22 +215,17 @@ def _recenter(state: SimState, config: SimConfig) -> SimState:
 
 
 def _observe(series: TimeSeries, state: SimState, config: SimConfig):
-    theta0 = config.reaction.theta0
     with np.errstate(over="ignore", invalid="ignore"):
-        _append_row(series, state, config, theta0)
-
-
-def _append_row(series, state, config, theta0):
-    series.append(
-        t=state.t,
-        V=burning_rate(state.T, config.reaction),
-        N=nusselt(state.T),
-        U_sup=u_sup(state.flow),
-        Nz=nz_norm(state.T),
-        Omega2=omega_enstrophy(state.omega),
-        R_winn=winn_functional(state.T),
-        front_pos=front_position(state.T, theta0) + state.shift_accum,
-    )
+        series.append(
+            t=state.t,
+            V=burning_rate(state.T, config.reaction),
+            N=nusselt(state.T),
+            U_sup=u_sup(state.flow),
+            Nz=nz_norm(state.T),
+            Omega2=omega_enstrophy(state.omega),
+            R_winn=winn_functional(state.T),
+            front_pos=front_position(state.T, config.reaction.theta0) + state.shift_accum,
+        )
 
 
 def run(config: SimConfig, observer=None) -> TimeSeries:

@@ -7,17 +7,19 @@ system at tau = 1, warm-starting each stage from the previous one.
 tau multiplies the temperature advection, the reaction and the buoyancy
 torque; the vorticity keeps its full advection at every tau.
 
-Inner solver: damped Picard sweeps (velocity recovery, linear
-temperature solve with frozen flow, linear vorticity solve with fresh
-temperature).  Near a front the temperature fixed-point map has a
-near-unit eigenvalue along the translation direction (the position is
-only exponentially weakly pinned by the ends of the strip), so a
-fixed-c iteration stalls.  The speed is therefore corrected inside the
-loop by a damped secant on the normalization residual, which acts as a
-phase condition and removes the neutral direction.  The discontinuous
-step_linear reaction is handled by active-set linearization: the
-ignition mask enters the operator and each solve is exact on its
-branch, so the iteration can settle bit-exactly instead of chattering.
+Stages with tau > 0 run a bordered semi-smooth Newton iteration on
+(T, c) (solve_steady_pinned) with the normalization as phase condition.
+Near a front the temperature equation at fixed c is nearly singular
+along the translation direction (the position is only exponentially
+weakly pinned by the ends of the strip); the border removes that
+neutral direction.  Each iteration freezes the flow, takes one Newton
+step on (T, c) with the speed change capped, then refreshes the
+vorticity by a damped linear solve with the new temperature.  The
+discontinuous step_linear reaction is handled by active-set
+linearization: the ignition mask enters the operator and each solve is
+exact on its branch, so the iteration can settle bit-exactly instead of
+chattering.  Damped Picard sweeps at fixed speed (solve_steady) serve
+the tau = 0 stage and fixed-c solves only.
 """
 
 from __future__ import annotations
@@ -231,12 +233,6 @@ def _boundary_vector(grid: StripGrid) -> np.ndarray:
     return tb.ravel()
 
 
-def _ignition_mask(T: np.ndarray, reaction: ReactionModel) -> np.ndarray:
-    """Active ignition set, delegated to the reaction's own branch rule
-    so solver and diagnostics always agree on the burning nodes."""
-    return reaction.ignited(T)
-
-
 class _PicardState:
     """Shared machinery for one (tau, problem) inner iteration."""
 
@@ -257,7 +253,7 @@ class _PicardState:
         self.active_set = problem.reaction.kind == STEP_LINEAR and tau > 0.0
         self.mask_history: list[bytes] = []
         self.mask_frozen = False
-        self.mask = _ignition_mask(self.T, problem.reaction)
+        self.mask = problem.reaction.ignited(self.T)
         self.flow = None
         self.last_A = None
         self.last_B_rhs = None
@@ -266,12 +262,12 @@ class _PicardState:
     def set_default_profile(self, c: float):
         g = self.problem.grid
         self.T = np.broadcast_to(linear_profile(c, g.a, g.x)[:, None], g.shape).copy()
-        self.mask = _ignition_mask(self.T, self.problem.reaction)
+        self.mask = self.problem.reaction.ignited(self.T)
 
     def update_mask(self):
         if not self.active_set or self.mask_frozen:
             return
-        new = _ignition_mask(self.T, self.problem.reaction)
+        new = self.problem.reaction.ignited(self.T)
         key = new.tobytes()
         hist = self.mask_history
         # freeze on a 2-cycle: the free boundary sits exactly on a node
@@ -544,7 +540,7 @@ def solve_steady_pinned(
         # the ignition set used to build the last solve must agree with
         # the set implied by its own output, else keep iterating
         mask_consistent = (not st.active_set) or bool(
-            np.array_equal(mask_used, _ignition_mask(st.T, f))
+            np.array_equal(mask_used, f.ignited(st.T))
         )
         if history[-1] < cfg.inner_tol and abs(res_now) <= target and mask_consistent:
             sol = st.finish(c, it)

@@ -80,6 +80,11 @@ def all_neumann_bc() -> BoundaryKind:
     return BoundaryKind(BCEnd(NEUMANN), BCEnd(NEUMANN), "neumann_zero")
 
 
+def periodic_bc() -> BoundaryKind:
+    """x wraps node nx-1 onto node 0 (period nx*hx); Neumann walls."""
+    return BoundaryKind(BCEnd(PERIODIC), BCEnd(PERIODIC), "neumann_zero")
+
+
 @dataclass(frozen=True)
 class StripGrid:
     """Uniform vertex-centered grid on [-a, a] x [0, lam].

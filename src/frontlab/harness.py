@@ -14,12 +14,20 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diagnostics import check_winn_inequality, front_position, nz_norm
+from .diagnostics import COLUMNS, check_winn_inequality, front_position, nz_norm
 from .errors import BlowUpError, ConfigurationError, NumericalError
 from .evolve import SimConfig, run
 from .flow import GravityDir
 from .front import FrontProblem, FrontSolution, find_front
 from .grid import ScalarField, edge_grad_sq, integrate, make_grid
+from .inequalities import (
+    DecayExperiment,
+    FlowSpec,
+    decay_constant_sup,
+    decay_experiment,
+    nash_fuzz_corpus,
+    nash_ratio,
+)
 from .laminar import NARROW_COMPLIANT, ReactionModel, laminar_speed, profile_eval
 
 
@@ -90,7 +98,7 @@ def _right_tail_rate(sol: FrontSolution) -> tuple[float, float]:
     if keep.sum() < 8:
         return float("nan"), float("nan")
     y = np.log(colmax[keep])
-    coef, residuals = np.polyfit(g.x[keep], y, 1), None
+    coef = np.polyfit(g.x[keep], y, 1)
     fit = np.polyval(coef, g.x[keep])
     r2 = 1.0 - np.sum((y - fit) ** 2) / max(np.sum((y - y.mean()) ** 2), 1e-300)
     return float(-coef[0]), float(r2)
@@ -195,6 +203,7 @@ def verify_burning_rate_perturbation(
     t_lo, t_hi = sweep.window
     rep = Report(title="burning-rate-perturbation")
     rows = {}
+    nbar = COLUMNS.index("Nbar")
     for rho in sweep.values:
         cfg = _cauchy_config(grid, reaction, rho, ehat, dt, t_hi + 10.0)
         try:
@@ -207,7 +216,7 @@ def verify_burning_rate_perturbation(
 
             fio.write_timeseries_csv(f"{csv_dir}/run_rho_{rho:g}.csv", series)
         margins = [
-            check_winn_inequality(series, t) / max(series.row_at(t)[9], 1e-300)
+            check_winn_inequality(series, t) / max(series.row_at(t)[nbar], 1e-300)
             for t in np.arange(10.0, t_hi + 1e-9, 10.0)
         ]
         rows[rho] = {
@@ -385,6 +394,56 @@ def verify_domain_length_convergence(
         vals = [rows[a][key] for a in a_sorted]
         band = max(vals) / max(min(vals), 1e-300)
         rep.add(f"{key}_band", band, 1.2, band <= 1.2)
+    return rep.finalize()
+
+
+def verify_nash_ratio() -> Report:
+    """Nash ratio over the fuzz corpus: homogeneous of degree zero,
+    positive, and with a grid-converged infimum."""
+    rep = Report(title="nash-ratio")
+    fields = nash_fuzz_corpus(n_fields=1000, grid_shape=(129, 33))
+    ratios = np.array([nash_ratio(f, f.grid.lam) for f in fields])
+    refined = nash_fuzz_corpus(n_fields=1000, grid_shape=(257, 65))
+    ratios_fine = np.array([nash_ratio(f, f.grid.lam) for f in refined])
+    first = fields[0]
+    base = nash_ratio(first, first.grid.lam)
+    for alpha in (10.0, 0.1):
+        scaled = nash_ratio(ScalarField(first.grid, alpha * first.values), first.grid.lam)
+        dev = abs(scaled / base - 1.0)
+        rep.add(f"scale_invariance_x{alpha:g}", dev, 1e-10, dev <= 1e-10)
+    rep.add("min_ratio", ratios.min(), 0.0, ratios.min() > 0.0)
+    drift = abs(ratios.min() - ratios_fine.min()) / ratios_fine.min()
+    rep.add("refinement_drift", drift, 0.01, drift <= 0.01)
+    rep.data["min_ratio_fine"] = float(ratios_fine.min())
+    return rep.finalize()
+
+
+def verify_flow_uniform_decay() -> Report:
+    """L-infinity decay of a passive scalar at a rate independent of the
+    divergence-free flow, with mass conserved and a refined oracle."""
+    rep = Report(title="flow-uniform-decay")
+    flows = {
+        "zero": FlowSpec(),
+        "shear5": FlowSpec("shear", 5.0),
+        "cellular5": FlowSpec("cellular", 5.0, 4, 1),
+        "cellular10": FlowSpec("cellular", 10.0, 4, 1),
+    }
+    runs = {name: decay_experiment(DecayExperiment(flow=spec)) for name, spec in flows.items()}
+    consts = {}
+    for name, series in runs.items():
+        consts[name] = decay_constant_sup(series, 1.0, 1.0)
+        drift = float(np.abs(series.l1 - series.l1[0]).max() / series.l1[0])
+        rep.add(f"mass_drift_{name}", drift, 1e-8, drift <= 1e-8)
+    band = max(consts.values()) / min(consts.values())
+    rep.add("uniformity_band", band, 2.0, band <= 2.0)
+    rep.data["decay_constants"] = consts
+
+    zero = runs["zero"]
+    fine = decay_experiment(DecayExperiment(nx=512, nz=65, dt=0.005))
+    keep = zero.t >= 1.0
+    fine_at = np.interp(zero.t[keep], fine.t, fine.linf)
+    rel = float(np.abs(zero.linf[keep] - fine_at).max() / fine_at.max())
+    rep.add("zero_flow_vs_refined_oracle", rel, 0.05, rel <= 0.05)
     return rep.finalize()
 
 

@@ -3,9 +3,11 @@ rate, and flow-uniform L1 -> Linf decay of advection-diffusion.
 
 The decay experiments run on a periodic-in-x strip (the statement is
 translation invariant; periodicity removes end effects) with Neumann
-walls.  Advection uses the conservative flux form, which preserves the
-discrete integral exactly; diffusion is implicit through an FFT/DCT
-plan, whose zero mode is untouched, so mass is conserved to round-off.
+walls.  Advection uses the conservative flux form with the grid's
+wrap-around and zero-wall ghost stencils, which preserves the discrete
+integral exactly; diffusion is implicit through EllipticPlan's periodic
+(rFFT x DCT-I) plan, whose zero mode is untouched, so mass is conserved
+to round-off.
 """
 
 from __future__ import annotations
@@ -14,10 +16,23 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct, idct, irfft, rfft
 
+from .elliptic import plan_for
 from .errors import BlowUpError, ConfigurationError
-from .grid import ScalarField, grad_sq_norm, integrate
+from .grid import (
+    DIRICHLET,
+    PERIODIC,
+    ScalarField,
+    _diff_ghost_axis,
+    _trapezoid_weights,
+    grad_sq_norm,
+    integrate,
+    make_grid,
+    periodic_bc,
+)
+
+_WRAP = (PERIODIC, 0.0)
+_WALL = (DIRICHLET, 0.0)  # odd ghost: the field vanishes at the walls
 
 
 def nash_ratio(psi: ScalarField, lam: float) -> float:
@@ -110,52 +125,32 @@ class DecaySeries:
 
 
 class _PeriodicStrip:
-    """Periodic-x, Neumann-z lattice with transform diffusion solver."""
+    """Periodic-x, Neumann-z lattice of nx distinct nodes per box length.
+
+    The grid's periodic ghost wraps node nx-1 onto node 0, so a StripGrid
+    spanning (nx-1)/nx of the box has spacing box_length/nx and period
+    nx*hx.  Quadrature is uniform in x: no node is an end.
+    """
 
     def __init__(self, exp: DecayExperiment):
         self.exp = exp
-        self.nx, self.nz = exp.nx, exp.nz
-        self.hx = exp.box_length / exp.nx
-        self.hz = exp.lam / (exp.nz - 1)
-        self.x = self.hx * np.arange(exp.nx)
-        self.z = np.linspace(0.0, exp.lam, exp.nz)
-        wz = np.full(exp.nz, self.hz)
-        wz[0] = wz[-1] = 0.5 * self.hz
-        self.weights = self.hx * wz[None, :]
-        kx = np.arange(exp.nx // 2 + 1)
-        mu_x = -(4.0 / self.hx**2) * np.sin(np.pi * kx / exp.nx) ** 2
-        kz = np.arange(exp.nz)
-        mu_z = -(4.0 / self.hz**2) * np.sin(np.pi * kz / (2 * (exp.nz - 1))) ** 2
-        self.mu = mu_x[:, None] + mu_z[None, :]
+        self.grid = make_grid(
+            exp.box_length * (exp.nx - 1) / (2 * exp.nx), exp.lam, exp.nx, exp.nz
+        )
+        g = self.grid
+        self.X, self.Z = np.meshgrid(g.hx * np.arange(exp.nx), g.z, indexing="ij")
+        self.weights = g.hx * _trapezoid_weights(g.nz, g.hz)[None, :]
 
-    def solve_diffusion(self, rhs: np.ndarray, s: float) -> np.ndarray:
-        a = rfft(rhs, axis=0)
-        a = dct(a, type=1, axis=1)
-        a /= 1.0 - s * self.mu
-        a = idct(a, type=1, axis=1)
-        return irfft(a, n=self.nx, axis=0)
-
-    def dx_periodic(self, f: np.ndarray) -> np.ndarray:
-        return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * self.hx)
-
-    def dz_oddghost(self, f: np.ndarray) -> np.ndarray:
-        """Centered z-derivative for fields vanishing oddly at the walls."""
-        out = np.empty_like(f)
-        out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * self.hz)
-        out[:, 0] = f[:, 1] / self.hz
-        out[:, -1] = -f[:, -2] / self.hz
-        return out
-
-    def dz_evenghost(self, f: np.ndarray) -> np.ndarray:
-        out = np.empty_like(f)
-        out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * self.hz)
-        out[:, 0] = 0.0
-        out[:, -1] = 0.0
-        return out
+    def divergence(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """d(v)/dx + d(w)/dz for w vanishing oddly at the walls."""
+        g = self.grid
+        return _diff_ghost_axis(v, g.hx, 0, _WRAP, _WRAP) + _diff_ghost_axis(
+            w, g.hz, 1, _WALL, _WALL
+        )
 
     def velocity(self) -> tuple[np.ndarray, np.ndarray]:
         spec = self.exp.flow
-        X, Z = np.meshgrid(self.x, self.z, indexing="ij")
+        g, X, Z = self.grid, self.X, self.Z
         lam, Lx = self.exp.lam, self.exp.box_length
         if spec.kind == "zero":
             return np.zeros(X.shape), np.zeros(X.shape)
@@ -168,8 +163,8 @@ class _PeriodicStrip:
         # differentiating with the run's own stencils keeps the discrete
         # divergence at round-off
         psi = (spec.amplitude / max(kx, kz)) * np.sin(kx * X) * np.sin(kz * Z)
-        v = self.dz_oddghost(psi)
-        w = -self.dx_periodic(psi)
+        v = _diff_ghost_axis(psi, g.hz, 1, _WALL, _WALL)
+        w = -_diff_ghost_axis(psi, g.hx, 0, _WRAP, _WRAP)
         return v, w
 
     def norms(self, f: np.ndarray) -> tuple[float, float, float, float]:
@@ -180,7 +175,7 @@ class _PeriodicStrip:
         return float(absf.max()), l2, l1, mass
 
     def initial_bump(self) -> np.ndarray:
-        X, Z = np.meshgrid(self.x, self.z, indexing="ij")
+        X, Z = self.X, self.Z
         x0 = 0.5 * self.exp.box_length
         width = self.exp.psi0_width
         bump = np.exp(-((X - x0) ** 2) / (2.0 * width**2))
@@ -191,28 +186,28 @@ class _PeriodicStrip:
 
 def max_divergence(exp: DecayExperiment) -> float:
     strip = _PeriodicStrip(exp)
-    v, w = strip.velocity()
-    div = strip.dx_periodic(v) + strip.dz_oddghost(w)
-    return float(np.abs(div).max())
+    return float(np.abs(strip.divergence(*strip.velocity())).max())
 
 
 def decay_experiment(exp: DecayExperiment) -> DecaySeries:
     """March the passive scalar and record (t, sup, L2, L1) each step."""
     strip = _PeriodicStrip(exp)
+    g = strip.grid
+    plan = plan_for(g, periodic_bc())
     v, w = strip.velocity()
     psi = strip.initial_bump()
     amp = float(max(np.abs(v).max(), np.abs(w).max()))
     if exp.dt is not None:
         dt = exp.dt
     else:
-        adv = min(strip.hx, strip.hz) / (amp + 1e-12)
+        adv = min(g.hx, g.hz) / (amp + 1e-12)
         dt = min(0.25 * adv, 0.01)
     rows = [(0.0, *strip.norms(psi))]
     t = 0.0
     while t < exp.t_end - 1e-12:
         step_dt = min(dt, exp.t_end - t)
-        flux = strip.dx_periodic(v * psi) + strip.dz_oddghost(w * psi)
-        psi = strip.solve_diffusion(psi - step_dt * flux, exp.sigma * step_dt)
+        rhs = ScalarField(g, psi - step_dt * strip.divergence(v * psi, w * psi))
+        psi = plan.solve_helmholtz(rhs, exp.sigma * step_dt).values
         t += step_dt
         if not np.isfinite(psi).all():
             raise BlowUpError(f"decay run blew up at t={t:g}")
@@ -270,8 +265,6 @@ def nash_fuzz_corpus(n_fields: int = 1000, seed: int = 2024,
                      a: float = 8.0, lam: float = 2.0):
     """Deterministic corpus of smooth nonnegative fields (squared random
     band-limited cosine/sine series), refinement-stable by construction."""
-    from .grid import make_grid
-
     rng = np.random.default_rng(seed)
     g = make_grid(a, lam, *grid_shape)
     X, Z = g.mesh()

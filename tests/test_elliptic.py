@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frontlab.elliptic import (
     helmholtz_solve,
@@ -18,6 +19,7 @@ from frontlab.grid import (
     field_from_function,
     laplacian,
     make_grid,
+    periodic_bc,
     temperature_bc,
     vorticity_bc,
 )
@@ -159,10 +161,32 @@ def test_eigenvalue_signs_and_zero_modes():
     for bc in (vorticity_bc(), temperature_bc()):
         mu = plan_for(g, bc).eigenvalues
         assert mu.max() < 0.0  # no zero mode with a Dirichlet direction
-    mu_n = plan_for(g, all_neumann_bc()).eigenvalues
-    assert mu_n.max() == 0.0
-    assert (mu_n == 0.0).sum() == 1  # only the constant mode
-    assert mu_n.min() < 0.0
+    for bc in (all_neumann_bc(), periodic_bc()):
+        mu_n = plan_for(g, bc).eigenvalues
+        assert mu_n.max() == 0.0
+        assert (mu_n == 0.0).sum() == 1  # only the constant mode
+        assert mu_n.min() < 0.0
+    with pytest.raises(ConfigurationError):
+        plan_for(g, periodic_bc()).solve_poisson(constant_field(g, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bc=st.sampled_from([temperature_bc(0.0, 0.0), vorticity_bc(), all_neumann_bc(), periodic_bc()]),
+    nx=st.integers(8, 40),
+    nz=st.integers(8, 24),
+    s=st.floats(1e-4, 1e2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_helmholtz_inverts_the_ghost_stencil(bc, nx, nz, s, seed):
+    # u - s*lap(u) = rhs on the plan's unknown nodes, lap from grid's ghosts
+    g = make_grid(1.5, 1.0, nx, nz)
+    plan = plan_for(g, bc)
+    rhs = np.random.default_rng(seed).standard_normal(g.shape)
+    u = plan.solve_helmholtz(ScalarField(g, rhs), s)
+    res = (u.values - s * laplacian(u).values - rhs)[plan._xsl, plan._zsl]
+    scale = 1.0 + s * (4.0 / g.hx**2 + 4.0 / g.hz**2)
+    assert np.abs(res).max() <= 1e-13 * scale * np.abs(rhs).max()
 
 
 def test_lift_roundtrip():

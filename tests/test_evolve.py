@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from frontlab.diagnostics import check_winn_inequality
+from frontlab.diagnostics import COLUMNS, check_winn_inequality
 from frontlab.errors import ConfigurationError
 from frontlab.evolve import OmegaInit, SimConfig, SimState, cfl_dt, init_front_like, run, step
 from frontlab.flow import FlowState, GravityDir, buoyancy_torque, weighted_inner
@@ -238,8 +238,7 @@ def test_winn_inequality_on_short_run():
                     rho=0.0, dt=0.05, t_end=15.0, R=5.0)
     series = run(cfg)
     for t in (10.0, 12.0, 15.0):
-        row_n = series.row_at(t)
-        nbar = row_n[9]
+        nbar = series.row_at(t)[COLUMNS.index("Nbar")]
         assert check_winn_inequality(series, t) >= -0.05 * nbar
     # sign-definite observables stay nonnegative along the run
     for col in ("V", "N", "Nz", "Omega2", "R_winn"):

@@ -118,3 +118,12 @@ def test_l2_bound_transfers_across_flows():
     z = s.l2[keep] / s.l1[0]
     bound = np.array([solve_n_of_t(t, 1.0, 1.0, C) for t in s.t[keep]])
     assert np.all(z <= bound * (1.0 + 1e-9))
+
+
+def test_short_decay_regression_pin():
+    # pinned from the hand-written rFFT x DCT-I decay solver that the
+    # periodic EllipticPlan replaced: the swap must not move these numbers
+    s = decay_experiment(_short_exp(FlowSpec("cellular", 5.0, 4, 1)))
+    assert decay_constant_sup(s, 1.0, 1.0) == pytest.approx(0.23583789657316856, rel=1e-12)
+    assert s.linf[-1] == pytest.approx(0.10546991368163389, rel=1e-12)
+    assert s.l2[-1] == pytest.approx(0.27619077552440885, rel=1e-12)
