@@ -73,25 +73,33 @@ class EllipticPlan:
         return self.x_kind != SINE and self.z_kind == COSINE
 
     def _forward(self, a: np.ndarray) -> np.ndarray:
-        return _FORWARD[self.z_kind](_FORWARD[self.x_kind](a, axis=0), axis=1)
+        # the first pass reads the caller's array; the second owns its input
+        first = _FORWARD[self.x_kind](a, axis=0)
+        return _FORWARD[self.z_kind](first, axis=1, overwrite_x=True)
 
     def _inverse(self, a: np.ndarray) -> np.ndarray:
+        """Inverse transforms; a is a spectrum the plan owns and may overwrite."""
         if self.x_kind == PERIODIC:
             # irfft takes the complex x-spectrum, so z is undone first
-            return irfft(_INVERSE[self.z_kind](a, axis=1), n=self.grid.nx, axis=0)
-        return _INVERSE[self.z_kind](_INVERSE[self.x_kind](a, axis=0), axis=1)
+            zpass = _INVERSE[self.z_kind](a, axis=1, overwrite_x=True)
+            return irfft(zpass, n=self.grid.nx, axis=0, overwrite_x=True)
+        xpass = _INVERSE[self.x_kind](a, axis=0, overwrite_x=True)
+        return _INVERSE[self.z_kind](xpass, axis=1, overwrite_x=True)
 
-    def _solve(self, rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
-        """Solve denom(mu) * u_hat = rhs_hat on the plan's lattice."""
+    def _spectrum(self, rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
+        """Spectrum of u where denom(mu) * u_hat = rhs_hat on the plan's lattice."""
+        return self._forward(rhs[self._xsl, self._zsl]) / denom
+
+    def _field(self, spectrum: np.ndarray) -> np.ndarray:
+        """Full-grid values of a spectrum, zero on the Dirichlet boundary."""
         out = np.zeros(self.grid.shape)
-        core = rhs[self._xsl, self._zsl]
-        out[self._xsl, self._zsl] = self._inverse(self._forward(core) / denom)
+        out[self._xsl, self._zsl] = self._inverse(spectrum)
         return out
 
     def solve_poisson(self, rhs: ScalarField) -> ScalarField:
         if self.has_zero_mode:
             raise ConfigurationError("Poisson is singular for a plan with a constant mode")
-        u = self._solve(rhs.values, self.eigenvalues)
+        u = self._field(self._spectrum(rhs.values, self.eigenvalues))
         return ScalarField(self.grid, u, self.bc)
 
     def solve_helmholtz(self, rhs: ScalarField, s: float) -> ScalarField:
@@ -99,8 +107,29 @@ class EllipticPlan:
             raise ConfigurationError("anti-diffusion (s < 0) is not allowed")
         if s == 0.0:
             return ScalarField(self.grid, rhs.values.copy(), self.bc)
-        u = self._solve(rhs.values, 1.0 - s * self.eigenvalues)
+        u = self._field(self._spectrum(rhs.values, 1.0 - s * self.eigenvalues))
         return ScalarField(self.grid, u, self.bc)
+
+    def solve_helmholtz_streamfunction(
+        self, rhs: ScalarField, s: float
+    ) -> tuple[ScalarField, ScalarField]:
+        """(omega, psi): (I - s*lap) omega = rhs and lap(psi) = -omega.
+
+        psi comes from omega's spectrum, psi_hat = -omega_hat/mu, so the
+        pair costs one forward and two inverse transforms instead of the
+        two forward and two inverse of a Helmholtz then a Poisson solve.
+        omega is bit-identical to solve_helmholtz for s > 0; psi differs
+        from a Poisson solve of -omega by transform round-off only.
+        """
+        if self.has_zero_mode:
+            raise ConfigurationError("Poisson is singular for a plan with a constant mode")
+        if s < 0:
+            raise ConfigurationError("anti-diffusion (s < 0) is not allowed")
+        omega_hat = self._spectrum(rhs.values, 1.0 - s * self.eigenvalues)
+        psi_hat = omega_hat / self.eigenvalues
+        np.negative(psi_hat, out=psi_hat)
+        omega = ScalarField(self.grid, self._field(omega_hat), self.bc)
+        return omega, ScalarField(self.grid, self._field(psi_hat), self.bc)
 
 
 @lru_cache(maxsize=32)

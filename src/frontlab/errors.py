@@ -43,7 +43,15 @@ class BlowUpError(NumericalError):
 
 
 class RecenterError(NumericalError):
-    """Frame shift requested while the outflow monitors were violated."""
+    """Frame shift requested while the outflow monitors were violated.
+
+    last_state is the state the shift was refused on.
+    """
+
+    def __init__(self, msg, last_state=None, partial_series=None):
+        super().__init__(msg)
+        self.last_state = last_state
+        self.partial_series = partial_series
 
 
 class CheckpointError(FrontLabError):

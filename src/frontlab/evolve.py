@@ -33,7 +33,14 @@ from .diagnostics import (
 )
 from .elliptic import linear_lift, plan_for
 from .errors import BlowUpError, ConfigurationError, RecenterError
-from .flow import FlowState, GravityDir, advect, buoyancy_torque, velocity_from_vorticity
+from .flow import (
+    FlowState,
+    GravityDir,
+    advect,
+    buoyancy_torque,
+    flow_from_streamfunction,
+    velocity_from_vorticity,
+)
 from .grid import ScalarField, StripGrid, temperature_bc, vorticity_bc
 from .laminar import ReactionModel
 
@@ -166,17 +173,16 @@ def step(state: SimState, config: SimConfig, dt: float) -> SimState:
         expl_W = -advect(v, w, omega) + buoyancy_torque(T, config.rho, config.ehat)
         W_star = ScalarField(g, omega.values + dt * expl_W, None)
         plan_W = plan_for(g, vorticity_bc())
-        W_new = plan_W.solve_helmholtz(W_star, config.sigma * dt).values
+        omega_f, psi = plan_W.solve_helmholtz_streamfunction(W_star, config.sigma * dt)
 
-    if not (np.isfinite(T_new).all() and np.isfinite(W_new).all()):
+    if not (np.isfinite(T_new).all() and np.isfinite(omega_f.values).all()):
         raise BlowUpError(f"non-finite field at t={state.t + dt:g}", last_state=state)
 
-    omega_f = ScalarField(g, W_new, vorticity_bc())
     return SimState(
         t=state.t + dt,
         T=ScalarField(g, T_new, temperature_bc()),
         omega=omega_f,
-        flow=velocity_from_vorticity(omega_f),
+        flow=flow_from_streamfunction(omega_f, psi),
         shift_accum=state.shift_accum,
     )
 
@@ -193,9 +199,13 @@ def _recenter(state: SimState, config: SimConfig) -> SimState:
     quarter = slice(3 * nx // 4, nx)
     decile = slice(max(nx - nx // 10, 0), nx)
     if float(state.T.values[quarter, :].max()) >= theta0 / 10.0:
-        raise RecenterError("front shift requested while the right quarter is warm")
+        raise RecenterError(
+            "front shift requested while the right quarter is warm", last_state=state
+        )
     if float(np.abs(state.omega.values[decile, :]).max()) >= 1e-3:
-        raise RecenterError("front shift requested while inflow vorticity is active")
+        raise RecenterError(
+            "front shift requested while inflow vorticity is active", last_state=state
+        )
 
     T = np.empty_like(state.T.values)
     W = np.zeros_like(state.omega.values)
@@ -232,7 +242,8 @@ def run(config: SimConfig, observer=None) -> TimeSeries:
     """March to t_end collecting diagnostics each step.
 
     The observer, if given, receives the (read-only) state after every
-    step.  On blow-up the partial series rides on the exception.
+    step.  On blow-up or a refused recentering the partial series rides
+    on the exception.
     """
     state = init_front_like(config)
     series = TimeSeries(metadata={"kind": "cauchy"})
@@ -246,7 +257,7 @@ def run(config: SimConfig, observer=None) -> TimeSeries:
             state = step(state, config, dt)
             if config.recenter:
                 state = _recenter(state, config)
-        except BlowUpError as e:
+        except (BlowUpError, RecenterError) as e:
             e.partial_series = series
             raise
         _observe(series, state, config)

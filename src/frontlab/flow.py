@@ -1,9 +1,12 @@
 """Incompressible velocity recovery and the vorticity-equation right side.
 
 The velocity comes from a streamfunction: psi solves lap(psi) = -omega
-with psi = 0 on the whole boundary, then v = psi_z, w = -psi_x.  That
-single Dirichlet solve reproduces all four no-stress velocity conditions
-at once and makes the discrete divergence vanish identically.
+with psi = 0 on the whole boundary, then v = psi_z, w = -psi_x
+(flow_from_streamfunction).  That single Dirichlet solve reproduces all
+four no-stress velocity conditions at once and makes the discrete
+divergence vanish identically.  velocity_from_vorticity does the Poisson
+solve itself; the Cauchy step instead takes psi from the spectrum of its
+implicit vorticity solve (EllipticPlan.solve_helmholtz_streamfunction).
 
 Advection uses the skew-symmetric average of the advective and flux
 forms.  With centered differences the two forms differ at O(h^2) (the
@@ -88,16 +91,24 @@ class FlowState:
         return float(np.abs(self.v.values @ wz).max())
 
 
-def velocity_from_vorticity(omega: ScalarField) -> FlowState:
-    """Streamfunction solve followed by ghost-aware differentiation."""
+def flow_from_streamfunction(omega: ScalarField, psi: ScalarField) -> FlowState:
+    """Velocities v = psi_z, w = -psi_x by ghost-aware differentiation.
+
+    psi must vanish on the whole boundary, as the Dirichlet solve of
+    lap(psi) = -omega makes it.
+    """
     g = omega.grid
-    rhs = ScalarField(g, -omega.values, None)
-    psi = poisson_dirichlet(rhs)
     v = dz_bc(psi)
     w = ScalarField(g, -dx_bc(psi).values, None)
     if omega.bc is None:
         omega = ScalarField(g, omega.values, vorticity_bc())
     return FlowState(omega=omega, psi=psi, v=v, w=w)
+
+
+def velocity_from_vorticity(omega: ScalarField) -> FlowState:
+    """Streamfunction solve followed by flow_from_streamfunction."""
+    psi = poisson_dirichlet(ScalarField(omega.grid, -omega.values, None))
+    return flow_from_streamfunction(omega, psi)
 
 
 def advect(v: np.ndarray, w: np.ndarray, field: ScalarField) -> np.ndarray:

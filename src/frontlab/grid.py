@@ -4,15 +4,21 @@ The domain is the rectangle [-a, a] x [0, lam] with vertex-centered nodes,
 so Dirichlet values sit exactly on nodes and the 3-point Laplacian is
 diagonalized by discrete sine/cosine modes (see elliptic.py).
 
-All difference operators are second order: centered in the interior,
-one-sided 3-point at the edges.  Quadrature is trapezoidal in both
-directions, which keeps the discrete integration-by-parts identities used
-by the diagnostics exact (see edge_grad_sq).
+All difference operators are second order and centered in the interior.
+At the edges dx/dz are one-sided 3-point; dx_bc/dz_bc/laplacian use one
+ghost node whose value follows the boundary condition (_ghost_values).
+The kernels write the interior by slices and the two end lines from the
+ghosts; along z they make one pass over the raveled array and then
+rewrite the wall columns.  Quadrature is trapezoidal in both directions,
+which keeps the discrete integration-by-parts identities used by the
+diagnostics exact (see edge_grad_sq).  node_weights(grid) and grid.x are
+computed once per grid and are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +27,11 @@ from .errors import ConfigurationError
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 PERIODIC = "periodic"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -112,9 +123,10 @@ class StripGrid:
     def hz(self) -> float:
         return self.lam / (self.nz - 1)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(-self.a, self.a, self.nx)
+        """Node abscissae; computed once per grid and read-only."""
+        return _read_only(np.linspace(-self.a, self.a, self.nx))
 
     @property
     def z(self) -> np.ndarray:
@@ -156,10 +168,6 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy(), self.bc)
 
-    def check_finite(self):
-        if not np.isfinite(self.values).all():
-            raise ConfigurationError("field contains non-finite entries")
-
     def bc_violation(self) -> float:
         """Max absolute violation of the Dirichlet parts of the bc."""
         if self.bc is None:
@@ -190,11 +198,12 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=32)
 def node_weights(grid: StripGrid) -> np.ndarray:
-    """Trapezoidal quadrature weights, shape (nx, nz)."""
+    """Trapezoidal quadrature weights, shape (nx, nz); computed once, read-only."""
     wx = _trapezoid_weights(grid.nx, grid.hx)
     wz = _trapezoid_weights(grid.nz, grid.hz)
-    return np.outer(wx, wz)
+    return _read_only(np.outer(wx, wz))
 
 
 def integrate(field: ScalarField) -> float:
@@ -202,14 +211,43 @@ def integrate(field: ScalarField) -> float:
     return float(np.sum(node_weights(field.grid) * field.values))
 
 
+def _lines(a: np.ndarray, axis: int) -> np.ndarray:
+    """a with `axis` first, as a view: index k is the k-th node line."""
+    return a if axis == 0 else a.T
+
+
+def _run(a: np.ndarray, axis: int) -> np.ndarray:
+    """a as one sequence of nodes along axis, for the interior passes.
+
+    Along x that is a itself.  Along z, the contiguous axis of a C-ordered
+    array, it is the raveled array: one pass over it is cheaper than
+    nx short strided ones, and its entries on the two wall columns mix
+    neighbouring rows, so the kernels overwrite them from the ghosts.
+    """
+    return a if axis == 0 else a.reshape(-1)
+
+
+def _centered(values: np.ndarray, axis: int, scale: float):
+    """(f[k+1] - f[k-1]) * scale at the interior nodes of axis.
+
+    Returns the output and the axis-first views of input and output; the
+    caller writes the two end lines.
+    """
+    out = np.empty(values.shape)
+    f, o = _run(values, axis), _run(out, axis)
+    inner = o[1:-1]
+    np.subtract(f[2:], f[:-2], out=inner)
+    inner *= scale
+    return out, _lines(values, axis), _lines(out, axis)
+
+
 def _diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order derivative: centered interior, one-sided 3-point edges."""
-    f = np.moveaxis(values, axis, 0)
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) * (0.5 / h)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) * (0.5 / h)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) * (0.5 / h)
-    return np.moveaxis(out, 0, axis)
+    scale = 0.5 / h
+    out, f, o = _centered(values, axis, scale)
+    o[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) * scale
+    o[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) * scale
+    return out
 
 
 def dx(field: ScalarField) -> ScalarField:
@@ -247,23 +285,19 @@ def edge_grad_sq(field: ScalarField) -> float:
     return float(sx + sz)
 
 
-def _ghost_pad_axis(values: np.ndarray, axis: int, lo_spec, hi_spec) -> np.ndarray:
-    """Pad one node beyond each end according to a boundary spec.
+def _ghost_values(f: np.ndarray, lo_spec, hi_spec):
+    """Ghost lines one node beyond each end of axis 0 of f.
 
     A spec is ("dirichlet", value) -> ghost = 2*value - inner,
     ("neumann", _) -> ghost = inner mirror, ("periodic", _) -> wrap.
     """
-    f = np.moveaxis(values, axis, 0)
     kind_lo, val_lo = lo_spec
     kind_hi, val_hi = hi_spec
     if kind_lo == PERIODIC:
-        lo = f[-1:]
-        hi = f[:1]
-    else:
-        lo = 2.0 * val_lo - f[1:2] if kind_lo == DIRICHLET else f[1:2]
-        hi = 2.0 * val_hi - f[-2:-1] if kind_hi == DIRICHLET else f[-2:-1]
-    out = np.concatenate([lo, f, hi], axis=0)
-    return np.moveaxis(out, 0, axis)
+        return f[-1], f[0]
+    lo = 2.0 * val_lo - f[1] if kind_lo == DIRICHLET else f[1]
+    hi = 2.0 * val_hi - f[-2] if kind_hi == DIRICHLET else f[-2]
+    return lo, hi
 
 
 def _bc_specs(bc: BoundaryKind):
@@ -276,6 +310,20 @@ def _bc_specs(bc: BoundaryKind):
     return xlo, xhi, zspec
 
 
+def _second_difference(values, twice, axis: int, lo_spec, hi_spec) -> np.ndarray:
+    """(f[k+1] - 2f[k]) + f[k-1] along axis, end lines from the ghosts."""
+    out = np.empty(values.shape)
+    f, t, o = _run(values, axis), _run(twice, axis), _run(out, axis)
+    inner = o[1:-1]
+    np.subtract(f[2:], t[1:-1], out=inner)
+    inner += f[:-2]
+    f, t, o = _lines(values, axis), _lines(twice, axis), _lines(out, axis)
+    lo, hi = _ghost_values(f, lo_spec, hi_spec)
+    o[0] = f[1] - t[0] + lo
+    o[-1] = hi - t[-1] + f[-2]
+    return out
+
+
 def laplacian(field: ScalarField) -> ScalarField:
     """3-point Laplacian with ghosts consistent with the field's bc.
 
@@ -286,19 +334,24 @@ def laplacian(field: ScalarField) -> ScalarField:
         raise ConfigurationError("laplacian needs a field with a boundary descriptor")
     g = field.grid
     xlo, xhi, zspec = _bc_specs(field.bc)
-    fx = _ghost_pad_axis(field.values, 0, xlo, xhi)
-    fz = _ghost_pad_axis(field.values, 1, zspec, zspec)
-    lap = (fx[2:, :] - 2.0 * field.values + fx[:-2, :]) / g.hx**2
-    lap += (fz[:, 2:] - 2.0 * field.values + fz[:, :-2]) / g.hz**2
+    f = field.values
+    twice = 2.0 * f
+    lap = _second_difference(f, twice, 0, xlo, xhi)
+    lap /= g.hx**2
+    lap_z = _second_difference(f, twice, 1, zspec, zspec)
+    lap_z /= g.hz**2
+    lap += lap_z
     return ScalarField(g, lap, None)
 
 
 def _diff_ghost_axis(values: np.ndarray, h: float, axis: int, lo_spec, hi_spec) -> np.ndarray:
     """Centered derivative everywhere, boundary nodes via ghost extension."""
-    f = _ghost_pad_axis(values, axis, lo_spec, hi_spec)
-    f = np.moveaxis(f, axis, 0)
-    out = (f[2:] - f[:-2]) * (0.5 / h)
-    return np.moveaxis(out, 0, axis)
+    scale = 0.5 / h
+    out, f, o = _centered(values, axis, scale)
+    lo, hi = _ghost_values(f, lo_spec, hi_spec)
+    o[0] = (f[1] - lo) * scale
+    o[-1] = (hi - f[-2]) * scale
+    return out
 
 
 def dx_bc(field: ScalarField) -> ScalarField:

@@ -246,20 +246,6 @@ def decay_constant_sup(series: DecaySeries, lam: float, sigma: float,
     return float(vals.max())
 
 
-def linf_margins(series: DecaySeries, lam: float, sigma: float, C: float,
-                 t_lo: float = 1.0) -> dict[str, float]:
-    """Peak ratios of |psi|_inf against n^2(t) and the weaker n^2(t/2) form."""
-    keep = series.t >= t_lo
-    out = {"n2_t": 0.0, "n2_t_half": 0.0}
-    l10 = series.l1[0]
-    for t, linf in zip(series.t[keep], series.linf[keep]):
-        n_full = solve_n_of_t(t, lam, sigma, C)
-        n_half = solve_n_of_t(0.5 * t, lam, sigma, C)
-        out["n2_t"] = max(out["n2_t"], linf / (n_full**2 * l10))
-        out["n2_t_half"] = max(out["n2_t_half"], linf / (n_half**2 * l10))
-    return out
-
-
 def nash_fuzz_corpus(n_fields: int = 1000, seed: int = 2024,
                      grid_shape: tuple[int, int] = (129, 33),
                      a: float = 8.0, lam: float = 2.0):

@@ -10,7 +10,10 @@ Round-trips are bit-exact.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import io as _io
+import os
+import secrets
 import struct
 
 import numpy as np
@@ -34,15 +37,27 @@ _HEADER = struct.Struct("<4sIIIdddd")
 
 
 def write_checkpoint(path, state: SimState) -> None:
+    """Write atomically: a temp file next to path, then os.replace.
+
+    A write that fails part-way leaves any previous checkpoint at path
+    intact and removes its temp file.
+    """
     g = state.T.grid
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _MAGIC, _VERSION, g.nx, g.nz, g.a, g.lam, state.t, state.shift_accum
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(
+                _HEADER.pack(
+                    _MAGIC, _VERSION, g.nx, g.nz, g.a, g.lam, state.t, state.shift_accum
+                )
             )
-        )
-        fh.write(np.ascontiguousarray(state.T.values, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.omega.values, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(state.T.values, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(state.omega.values, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def read_checkpoint(path) -> SimState:

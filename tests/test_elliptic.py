@@ -168,6 +168,9 @@ def test_eigenvalue_signs_and_zero_modes():
         assert mu_n.min() < 0.0
     with pytest.raises(ConfigurationError):
         plan_for(g, periodic_bc()).solve_poisson(constant_field(g, 1.0))
+    for bc in (all_neumann_bc(), periodic_bc()):
+        with pytest.raises(ConfigurationError):
+            plan_for(g, bc).solve_helmholtz_streamfunction(constant_field(g, 1.0), 0.1)
 
 
 @settings(max_examples=40, deadline=None)

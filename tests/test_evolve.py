@@ -227,9 +227,27 @@ def test_run_attaches_partial_series_on_blowup():
     )
     with pytest.raises((BlowUpError, RecenterError)) as err:
         run(cfg)
-    if isinstance(err.value, BlowUpError):
-        assert err.value.partial_series is not None
-        assert len(err.value.partial_series) >= 1
+    assert err.value.partial_series is not None
+    assert len(err.value.partial_series) >= 1
+    assert err.value.last_state is not None
+
+
+def test_run_attaches_partial_series_on_refused_recentering():
+    from frontlab.errors import RecenterError
+
+    cfg = _config(dt=0.05, t_end=1.0, recenter=True)
+    calls = []
+
+    def warm_right_quarter(state):
+        # after the first step, heat the inflow so the next shift is refused
+        calls.append(state.t)
+        if len(calls) == 2:
+            state.T.values[-10, :] = 0.5
+
+    with pytest.raises(RecenterError) as err:
+        run(cfg, observer=warm_right_quarter)
+    assert len(err.value.partial_series) == 2
+    assert err.value.last_state.t > err.value.partial_series.rows[-1][0]
 
 
 def test_winn_inequality_on_short_run():

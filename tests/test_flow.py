@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from frontlab.elliptic import plan_for
+from frontlab.elliptic import plan_for, poisson_dirichlet
 from frontlab.errors import ConfigurationError
 from frontlab.flow import (
     FlowState,
     GravityDir,
     advect,
     buoyancy_torque,
+    flow_from_streamfunction,
     velocity_from_vorticity,
     vorticity_rhs,
     weighted_inner,
@@ -98,6 +100,21 @@ def test_divergence_free_and_column_means():
     assert st.max_column_mean() <= 1e-10
 
 
+@pytest.mark.parametrize("shape", [(65, 33), (129, 17)])
+def test_shared_spectrum_streamfunction(shape):
+    g = make_grid(2.0, 1.0, *shape)
+    rhs = _random_vorticity(g, seed=9).values + 0.1 * np.random.default_rng(9).standard_normal(g.shape)
+    plan = plan_for(g, vorticity_bc())
+    s = 0.013
+    omega, psi = plan.solve_helmholtz_streamfunction(ScalarField(g, rhs), s)
+    assert np.array_equal(omega.values, plan.solve_helmholtz(ScalarField(g, rhs), s).values)
+    ref = poisson_dirichlet(ScalarField(g, -omega.values)).values
+    assert np.abs(psi.values - ref).max() <= 1e-12 * np.abs(ref).max()
+    st = flow_from_streamfunction(omega, psi)
+    assert st.max_interior_divergence() < 1e-11
+    assert st.max_column_mean() <= 1e-10
+
+
 def test_divergence_exact_on_dyadic_streamfunction():
     g = make_grid(1.0, 1.0, 9, 9)
     rng = np.random.default_rng(8)
@@ -154,9 +171,11 @@ def test_rhs_tau_zero_kills_forcing():
     assert np.abs(out.values).max() < 1e-14
 
 
-def test_advection_antisymmetry():
-    g = make_grid(2.0, 1.0, 65, 33)
-    omega = _random_vorticity(g, seed=4)
+@settings(max_examples=25, deadline=None)
+@given(nx=hst.integers(9, 80), nz=hst.integers(9, 40), seed=hst.integers(0, 2**32 - 1))
+def test_advection_antisymmetry(nx, nz, seed):
+    g = make_grid(2.0, 1.0, nx, nz)
+    omega = _random_vorticity(g, seed=seed)
     st = velocity_from_vorticity(omega)
     adv = ScalarField(g, advect(st.v.values, st.w.values, omega))
     inner = weighted_inner(omega, adv)

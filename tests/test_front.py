@@ -201,3 +201,32 @@ def test_front_problem_validation():
         Continuation(tau_steps=0)
     with pytest.raises(ConfigurationError):
         Continuation(picard_damping=1.5)
+
+
+def test_sparse_operators_match_the_stencil_kernels():
+    # the front's Kronecker matrices and the grid/flow kernels are two
+    # definitions of one discretization; they must agree on the rows the
+    # front solves for (interior x for T, interior nodes for omega)
+    from frontlab.flow import advect
+    from frontlab.front import _Operators
+    from frontlab.grid import dx_bc, laplacian, vorticity_bc
+
+    g = make_grid(4.0, 1.0, 33, 17)
+    ops = _Operators(g)
+    rng = np.random.default_rng(12)
+    f, v, w = (rng.standard_normal(g.shape) for _ in range(3))
+    cases = (
+        (temperature_bc(), ops.unknownT, ops.LAP_T, ops.skew_T(v, w)),
+        (vorticity_bc(), ops.unknownW, ops.LAP_W, ops.skew_W(v, w)),
+    )
+    for bc, rows, lap, skew in cases:
+        field = ScalarField(g, f, bc)
+        pairs = (
+            (lap, laplacian(field).values),
+            (ops.DX, dx_bc(field).values),
+            (skew, advect(v, w, field)),
+        )
+        for matrix, kernel in pairs:
+            ref = kernel.ravel()[rows]
+            got = (matrix @ f.ravel())[rows]
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

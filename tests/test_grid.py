@@ -2,17 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frontlab.errors import ConfigurationError
 from frontlab.grid import (
+    DIRICHLET,
+    NEUMANN,
+    PERIODIC,
+    BCEnd,
+    BoundaryKind,
     ScalarField,
+    _diff_axis,
+    _diff_ghost_axis,
     constant_field,
     dx,
     dz,
     field_from_function,
     grad_sq_norm,
     integrate,
+    laplacian,
     make_grid,
+    node_weights,
     temperature_bc,
 )
 
@@ -177,3 +187,85 @@ def test_bc_violation_reporting():
     assert f.bc_violation() == pytest.approx(1.0)
     f.values[0, :] = 1.0
     assert f.bc_violation() == 0.0
+
+
+def test_weights_and_abscissae_are_shared_and_read_only():
+    g = make_grid(2.0, 1.0, 17, 9)
+    assert node_weights(g) is node_weights(make_grid(2.0, 1.0, 17, 9))
+    assert g.x is g.x
+    for a in (node_weights(g), g.x):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+# The concatenate/moveaxis ghost stencils the slice kernels replaced; the
+# kernels must reproduce them bit for bit.
+def _ref_ghost_pad(values, axis, lo_spec, hi_spec):
+    f = np.moveaxis(values, axis, 0)
+    kind_lo, val_lo = lo_spec
+    kind_hi, val_hi = hi_spec
+    if kind_lo == PERIODIC:
+        lo, hi = f[-1:], f[:1]
+    else:
+        lo = 2.0 * val_lo - f[1:2] if kind_lo == DIRICHLET else f[1:2]
+        hi = 2.0 * val_hi - f[-2:-1] if kind_hi == DIRICHLET else f[-2:-1]
+    return np.moveaxis(np.concatenate([lo, f, hi], axis=0), 0, axis)
+
+
+def _ref_diff_ghost(values, h, axis, lo_spec, hi_spec):
+    f = np.moveaxis(_ref_ghost_pad(values, axis, lo_spec, hi_spec), axis, 0)
+    return np.moveaxis((f[2:] - f[:-2]) * (0.5 / h), 0, axis)
+
+
+def _ref_laplacian(values, hx, hz, xlo, xhi, zspec):
+    fx = _ref_ghost_pad(values, 0, xlo, xhi)
+    fz = _ref_ghost_pad(values, 1, zspec, zspec)
+    lap = (fx[2:, :] - 2.0 * values + fx[:-2, :]) / hx**2
+    lap += (fz[:, 2:] - 2.0 * values + fz[:, :-2]) / hz**2
+    return lap
+
+
+def _ref_diff_axis(values, h, axis):
+    f = np.moveaxis(values, axis, 0)
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) * (0.5 / h)
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) * (0.5 / h)
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) * (0.5 / h)
+    return np.moveaxis(out, 0, axis)
+
+
+_END_SPECS = [(DIRICHLET, 0.0), (DIRICHLET, 1.0), (NEUMANN, 0.0)]
+_SPEC_PAIRS = [(lo, hi) for lo in _END_SPECS for hi in _END_SPECS] + [
+    ((PERIODIC, 0.0), (PERIODIC, 0.0))
+]
+_KERNEL_CASE = dict(
+    nx=st.integers(8, 40),
+    nz=st.integers(8, 40),
+    h=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(axis=st.sampled_from([0, 1]), specs=st.sampled_from(_SPEC_PAIRS), **_KERNEL_CASE)
+def test_derivative_kernels_match_the_padded_stencils_bitwise(axis, specs, nx, nz, h, seed):
+    f = np.random.default_rng(seed).standard_normal((nx, nz))
+    lo, hi = specs
+    assert np.array_equal(_diff_ghost_axis(f, h, axis, lo, hi), _ref_diff_ghost(f, h, axis, lo, hi))
+    assert np.array_equal(_diff_axis(f, h, axis), _ref_diff_axis(f, h, axis))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    xspecs=st.sampled_from(_SPEC_PAIRS),
+    z_walls=st.sampled_from(["dirichlet_zero", "neumann_zero"]),
+    **_KERNEL_CASE,
+)
+def test_laplacian_matches_the_padded_stencil_bitwise(xspecs, z_walls, nx, nz, h, seed):
+    g = make_grid(h * (nx - 1) / 2.0, 0.7 * h * (nz - 1), nx, nz)
+    xlo, xhi = xspecs
+    bc = BoundaryKind(BCEnd(*xlo), BCEnd(*xhi), z_walls)
+    zspec = (DIRICHLET, 0.0) if z_walls == "dirichlet_zero" else (NEUMANN, 0.0)
+    f = np.random.default_rng(seed).standard_normal((nx, nz))
+    ref = _ref_laplacian(f, g.hx, g.hz, xlo, xhi, zspec)
+    assert np.array_equal(laplacian(ScalarField(g, f, bc)).values, ref)

@@ -47,6 +47,32 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert back.T.grid == st.T.grid
 
 
+class _PayloadFails:
+    """Stands in for a field whose values cannot be produced."""
+
+    def __init__(self, field):
+        self.grid = field.grid
+
+    @property
+    def values(self):
+        raise OSError("payload lost")
+
+
+def test_failed_checkpoint_write_keeps_the_previous_one(tmp_path):
+    path = tmp_path / "state.bfl"
+    first = _state(seed=0)
+    fio.write_checkpoint(path, first)
+    second = _state(seed=1)
+    # the header goes out, then the temperature payload fails
+    second.T = _PayloadFails(second.T)
+    with pytest.raises(OSError, match="payload lost"):
+        fio.write_checkpoint(path, second)
+    back = fio.read_checkpoint(path)
+    assert np.array_equal(back.T.values, first.T.values)
+    assert np.array_equal(back.omega.values, first.omega.values)
+    assert [p.name for p in tmp_path.iterdir()] == ["state.bfl"]
+
+
 def test_checkpoint_error_kinds(tmp_path):
     path = tmp_path / "state.bfl"
     fio.write_checkpoint(path, _state())
