@@ -17,6 +17,7 @@ computed once per grid and are read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -114,6 +115,9 @@ class StripGrid:
             raise ConfigurationError("strip dimensions must be positive")
         if self.nx < 8 or self.nz < 8:
             raise ConfigurationError("need at least 8 nodes per direction")
+        # the difference operators divide by h**2
+        if not all(0.0 < h * h < math.inf for h in (self.hx, self.hz)):
+            raise ConfigurationError("grid spacing squared overflows or underflows")
 
     @property
     def hx(self) -> float:

@@ -75,7 +75,10 @@ def read_checkpoint(path) -> SimState:
         raise CheckpointTruncatedError(f"{path}: payload shorter than {need} bytes")
     if len(raw) > need:
         raise CheckpointFormatError(f"{path}: {len(raw) - need} trailing bytes")
-    grid = make_grid(a, lam, nx, nz)
+    try:
+        grid = make_grid(a, lam, nx, nz)
+    except ConfigurationError as exc:
+        raise CheckpointFormatError(f"{path}: header grid is unusable: {exc}") from exc
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     T = body[: nx * nz].reshape(nx, nz).copy()
     W = body[nx * nz :].reshape(nx, nz).copy()
@@ -121,7 +124,7 @@ _SECTIONS = {
 
 def parse_config(text: str) -> dict:
     """Parse the sectioned run description; unknown keys are rejected."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # values are literal
     try:
         cp.read_string(text)
     except configparser.Error as exc:

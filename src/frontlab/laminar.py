@@ -73,6 +73,24 @@ class ReactionModel:
             out = self.amplitude * up * up * down / (1.0 - self.theta0)
         return out if out.shape else float(out)
 
+    def rate(self, T: float) -> float:
+        """self(T) for one float, bit for bit, without array overhead.
+
+        The shooting right-hand sides evaluate f once per stage on a
+        scalar.  np.round(T, 12) is rint(T * 1e12) / 1e12, and Python's
+        round is also round-half-even.
+        """
+        down = max(1.0 - T, 0.0)
+        if self.kind == STEP_LINEAR:
+            scaled = T * 1e12
+            if math.isfinite(scaled):
+                scaled = float(round(scaled))
+            return self.amplitude * down if scaled / 1e12 > self.theta0 else 0.0
+        up = max(T - self.theta0, 0.0)
+        if self.kind == QUAD_IGNITION:
+            return self.amplitude * up * down / (1.0 - self.theta0)
+        return self.amplitude * up * up * down / (1.0 - self.theta0)
+
     def derivative(self, T):
         """df/dT, with the semi-smooth convention f' = -amplitude*(T > theta0)
         for the discontinuous kind (exact on each branch)."""
@@ -162,7 +180,7 @@ def _classify_shot(
     """
 
     def rhs(x, y):
-        return (y[1], -c * y[1] - reaction(y[0]))
+        return (y[1], -c * y[1] - reaction.rate(float(y[0])))
 
     def overshoot(x, y):
         return y[0] - (1.0 + 1e-10)
@@ -242,7 +260,7 @@ def _build_profile(reaction: ReactionModel, c0: float, bracket: float) -> Lamina
     def rhs(s, y):
         p = max(y[0], 1e-300)
         one_minus = math.exp(-s)
-        return ((c0 - reaction(1.0 - one_minus) / p) * one_minus, -one_minus / p)
+        return ((c0 - reaction.rate(1.0 - one_minus) / p) * one_minus, -one_minus / p)
 
     sol = solve_ivp(
         rhs,

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from frontlab.errors import ConfigurationError
+from frontlab import front
+from frontlab.diagnostics import check_steady_identity
+from frontlab.errors import ConfigurationError, NonConvergenceError
 from frontlab.front import (
     Continuation,
     FrontProblem,
@@ -230,3 +234,90 @@ def test_sparse_operators_match_the_stencil_kernels():
             ref = kernel.ravel()[rows]
             got = (matrix @ f.ravel())[rows]
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _slanted_problem(nx, nz, rho):
+    # the thm11 setting: a=20, lam=4, quad_ignition, diagonal gravity
+    return FrontProblem(
+        grid=make_grid(20.0, 4.0, nx, nz),
+        reaction=ReactionModel("quad_ignition", 0.25),
+        rho=rho,
+        ehat=GravityDir.normalized(1.0, 1.0),
+        continuation=Continuation(c_tol=1e-3),
+    )
+
+
+def _record_pinned_sweeps(monkeypatch) -> list:
+    """Sweeps of every pinned stage find_front runs, failed ones included."""
+    sweeps = []
+    pinned = front.solve_steady_pinned
+
+    def recording(*args, **kwargs):
+        try:
+            sol = pinned(*args, **kwargs)
+        except NonConvergenceError as exc:
+            sweeps.append(len(exc.residual_history))
+            raise
+        sweeps.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(front, "solve_steady_pinned", recording)
+    return sweeps
+
+
+@pytest.mark.parametrize("rho, c_before", [(0.3, 0.666384669), (30.0, 4.14349192)])
+def test_slanted_front_speed_and_pinned_sweeps(monkeypatch, rho, c_before):
+    # c_before was computed with a 0.85-relaxed vorticity refresh and
+    # COLAMD-ordered factorizations; the undamped refresh and the
+    # minimum-degree orders must land on the same front
+    p = _slanted_problem(129, 17, rho)
+    sweeps = _record_pinned_sweeps(monkeypatch)
+    sol = find_front(p)
+    assert sol.tau == 1.0 and len(sweeps) == p.continuation.tau_steps
+    assert sol.speed_in_bracket(p)
+    assert check_steady_identity(sol, p.reaction) <= 1e-2
+    assert abs(sol.c - c_before) <= 1e-6
+    if rho == 0.3:
+        # relaxing each refresh by 0.85 held every later stage to 11-12 sweeps
+        assert max(sweeps[1:]) <= 8
+
+
+def test_front_lu_matches_plain_splu_and_is_stateless(monkeypatch):
+    p = _slanted_problem(33, 17, 0.3)
+    factorizations = []
+    counted = front.splu
+
+    def counting(*args, **kwargs):
+        factorizations.append(None)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(front, "splu", counting)
+    sweeps = _record_pinned_sweeps(monkeypatch)
+    sol = find_front(p)
+    # one LU at tau = 0 (reused at its fixed speed), then one bordered
+    # (T, c) and one vorticity LU per pinned sweep
+    assert len(factorizations) == 1 + 2 * sum(sweeps)
+    # no factorization depends on an earlier one: the same problem solved
+    # again in the same process gives the same front bit for bit, and the
+    # orders come from the grid alone
+    assert find_front(p).c == sol.c
+    ops = front._operators_for(p.grid)
+    for order in ("order_T", "order_W"):
+        assert np.array_equal(getattr(front._Operators(p.grid), order), getattr(ops, order))
+
+    g, f = p.grid, p.reaction
+    uT, uW, n = ops.unknownT, ops.unknownW, ops.unknownT.size
+    v, w = sol.flow.v.values, sol.flow.w.values
+    T = sol.T.values.ravel()
+    A = -ops.LAP_T - sol.c * ops.DX + ops.skew_T(v, w) - sp.diags(f.derivative(sol.T.values).ravel())
+    border_col = sp.csc_matrix((-(ops.DX @ T))[uT].reshape(-1, 1))
+    border_row = sp.csr_matrix(([1.0], ([0], [int(np.argmax(T[uT]))])), shape=(1, n))
+    bordered = sp.bmat([[A.tocsr()[uT][:, uT], border_col], [border_row, None]], format="csc")
+    vorticity = (-p.sigma * ops.LAP_W - sol.c * ops.DX + ops.skew_W(v, w)).tocsr()[uW][:, uW]
+
+    rng = np.random.default_rng(3)
+    for matrix, order in ((bordered, ops.order_T), (vorticity, ops.order_W)):
+        rhs = rng.standard_normal(matrix.shape[0])
+        ref = splu(matrix.tocsc()).solve(rhs)
+        got = front._factor(matrix, order).solve(rhs)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -41,7 +41,16 @@ def test_spacing_formula_small():
 
 @pytest.mark.parametrize(
     "args",
-    [(-1.0, 1.0, 16, 16), (1.0, 0.0, 16, 16), (1.0, 1.0, 7, 16), (1.0, 1.0, 16, 5)],
+    [
+        (-1.0, 1.0, 16, 16),
+        (1.0, 0.0, 16, 16),
+        (1.0, 1.0, 7, 16),
+        (1.0, 1.0, 16, 5),
+        (float("inf"), 1.0, 16, 16),
+        (1.0, float("nan"), 16, 16),
+        (1e200, 1.0, 16, 16),
+        (1.0, 1e-200, 16, 16),
+    ],
 )
 def test_bad_grid_params_rejected(args):
     with pytest.raises(ConfigurationError):

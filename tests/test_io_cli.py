@@ -1,14 +1,17 @@
 """Checkpoint format, CSV contract, config round-trips, CLI exit codes."""
 
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from frontlab import io as fio
 from frontlab.cli import main
 from frontlab.errors import (
+    CheckpointError,
     CheckpointFormatError,
     CheckpointMagicError,
     CheckpointTruncatedError,
@@ -99,6 +102,57 @@ def test_checkpoint_error_kinds(tmp_path):
         fio.read_checkpoint(padded)
 
 
+def _header(nx, nz, a, lam, version=1):
+    return struct.pack("<4sIIIdddd", b"BFL1", version, nx, nz, a, lam, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "nx, nz, a, lam",
+    [(4, 9, 3.0, 1.0), (17, 0, 3.0, 1.0), (17, 9, 0.0, 1.0), (17, 9, -3.0, 1.0),
+     (17, 9, float("nan"), 1.0), (17, 9, 3.0, float("inf")), (17, 9, 1e200, 1.0),
+     (17, 9, 3.0, 1e-200)],
+)
+def test_checkpoint_with_an_invalid_grid_is_a_format_error(tmp_path, nx, nz, a, lam):
+    path = tmp_path / "grid.bfl"
+    path.write_bytes(_header(nx, nz, a, lam) + bytes(16 * nx * nz))
+    with pytest.raises(CheckpointFormatError):
+        fio.read_checkpoint(path)
+
+
+def _read_or_checkpoint_error(path, raw: bytes) -> None:
+    path.write_bytes(raw)
+    try:
+        state = fio.read_checkpoint(path)
+    except CheckpointError:
+        return
+    assert isinstance(state, SimState)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=hst.binary(max_size=200))
+def test_read_checkpoint_arbitrary_bytes(tmp_path_factory, raw):
+    _read_or_checkpoint_error(tmp_path_factory.mktemp("ckpt") / "raw.bfl", raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    version=hst.sampled_from([0, 1, 2, 2**32 - 1]),
+    nx=hst.integers(0, 12) | hst.integers(0, 2**32 - 1),
+    nz=hst.integers(0, 12) | hst.integers(0, 2**32 - 1),
+    a=hst.floats(),
+    lam=hst.floats(),
+    extra=hst.integers(-9, 9),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_read_checkpoint_arbitrary_header(tmp_path_factory, version, nx, nz, a, lam, extra, seed):
+    # the payload length matches the header's nx*nz up to `extra` bytes,
+    # so every header field is reached; the values are arbitrary doubles
+    size = max(0, min(16 * nx * nz, 16 * 144) + extra)
+    raw = _header(nx, nz, a, lam, version) + np.random.default_rng(seed).bytes(size)
+    with np.errstate(all="ignore"):
+        _read_or_checkpoint_error(tmp_path_factory.mktemp("ckpt") / "head.bfl", raw)
+
+
 def test_csv_header_contract(tmp_path):
     path = tmp_path / "series.csv"
     series = run(SimConfig(grid=make_grid(10.0, 2.0, 33, 9),
@@ -172,6 +226,32 @@ def test_config_rejects_unknown_keys():
         fio.parse_config(CONFIG_TEXT + "\n[physics]\nbogus = 1\n")
     with pytest.raises(ConfigurationError):
         fio.parse_config("[mystery]\nx = 1\n")
+
+
+def test_config_values_are_literal():
+    # '%' is not interpolation syntax; a config that looks like it is
+    # either parses to the literal text or is a ConfigurationError
+    cfg = fio.parse_config("[domain]\na = %(b)s\n[grid]\n[physics]\n")
+    assert cfg["domain"]["a"] == "%(b)s"
+    with pytest.raises(ConfigurationError):
+        fio.build_sim_config(cfg)
+
+
+_CONFIG_PIECES = hst.sampled_from(
+    ["[domain]", "[grid]", "[physics]", "[run]", "[sweep]", "[DEFAULT]", "[mystery]",
+     "a = 1", "lambda = 2", "nx = 9", "nz = %(nx)s", "rho = %", "theta0 = 0.25", "seed",
+     "  continued", "x: y", "= 3", "#", ";", "[", ""]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=hst.text(max_size=120) | hst.lists(_CONFIG_PIECES, max_size=12).map("\n".join))
+def test_parse_config_arbitrary_text(text):
+    try:
+        cfg = fio.parse_config(text)
+    except ConfigurationError:
+        return
+    assert isinstance(cfg, dict)
 
 
 def test_build_sim_config_normalizes_gravity():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 from scipy.integrate import solve_bvp
 
 from frontlab.errors import ConfigurationError, NumericalError
@@ -165,3 +166,28 @@ def test_bad_reaction_params():
         ReactionModel("unknown", 0.5)
     with pytest.raises(ConfigurationError):
         laminar_speed(ReactionModel("step_linear", 0.25), tol=0.5)
+
+
+def _same_float(x: float, y: float) -> bool:
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=hst.sampled_from(["step_linear", "quad_ignition", "narrow_compliant"]),
+    theta0=hst.floats(1e-3, 0.999),
+    amplitude=hst.floats(1e-3, 1e3),
+    shift=hst.floats(-1e-13, 1e-13),
+    anywhere=hst.floats(),
+)
+@example("step_linear", 0.25, 1.0, 0.0, 0.2500000000005)  # a tie for the 12-digit rounding
+@example("step_linear", 0.25, 1.0, 5e-13, 2e296)  # T * 1e12 overflows
+def test_scalar_rate_matches_the_array_rate_bitwise(kind, theta0, amplitude, shift, anywhere):
+    # the shooting integrates with rate(); any bit of difference could move
+    # a bisection verdict and with it c0
+    r = ReactionModel(kind, theta0, amplitude)
+    with np.errstate(all="ignore"):
+        for T in (theta0 + shift, theta0 * (1.0 + shift), 1.0 + shift, shift, anywhere):
+            assert _same_float(r.rate(T), r(T))
