@@ -77,7 +77,6 @@ def _cmd_front(args) -> int:
     print(f"c = {sol.c:.8f}")
     print(f"normalization_residual = {sol.normalization_residual:.3e}")
     print(f"steady_identity_residual = {residual:.3e}")
-    print(f"monotone_violations = {sol.monotone_violations}")
     if args.out:
         state = SimState(t=0.0, T=sol.T, omega=sol.omega, flow=sol.flow)
         fio.write_checkpoint(args.out, state)

@@ -8,7 +8,7 @@ Solves are therefore exact relative to the stencils, up to transform
 round-off.
 
 Inhomogeneous Dirichlet data in x (temperature fields) must be lifted to
-homogeneous form first; linear_lift/lift_x/unlift_x do that.
+homogeneous form first; linear_lift does that.
 """
 
 from __future__ import annotations
@@ -170,16 +170,3 @@ def linear_lift(grid: StripGrid, left: float, right: float) -> np.ndarray:
     """
     t = (grid.x + grid.a) / (2.0 * grid.a)
     return (left + (right - left) * t)[:, None]
-
-
-def lift_x(field: ScalarField) -> tuple[ScalarField, float, float]:
-    """Subtract the linear interpolant of the field's own x-end values."""
-    left = float(field.values[0, :].mean())
-    right = float(field.values[-1, :].mean())
-    hom = field.values - linear_lift(field.grid, left, right)
-    return ScalarField(field.grid, hom, None), left, right
-
-
-def unlift_x(field: ScalarField, left: float, right: float, bc: BoundaryKind) -> ScalarField:
-    values = field.values + linear_lift(field.grid, left, right)
-    return ScalarField(field.grid, values, bc)

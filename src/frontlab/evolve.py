@@ -98,14 +98,15 @@ class SimConfig:
     omega0: OmegaInit = dc_field(default_factory=OmegaInit)
 
     def __post_init__(self):
-        if self.t_end < 0:
-            raise ConfigurationError("t_end must be nonnegative")
+        # each check is written so that NaN fails it
+        if not 0.0 <= self.t_end < math.inf:
+            raise ConfigurationError("t_end must be finite and nonnegative")
         if not 0.0 < self.cfl_safety < 1.0:
             raise ConfigurationError("cfl_safety must lie in (0, 1)")
-        if self.rho < 0 or self.sigma <= 0:
-            raise ConfigurationError("rho >= 0 and sigma > 0 required")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
+        if not (0.0 <= self.rho < math.inf and 0.0 < self.sigma < math.inf):
+            raise ConfigurationError("finite rho >= 0 and sigma > 0 required")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ConfigurationError("dt must be finite and positive")
 
 
 @dataclass

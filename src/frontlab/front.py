@@ -15,12 +15,14 @@ weakly pinned by the ends of the strip); the border removes that
 neutral direction.  Each iteration freezes the flow, takes one Newton
 step on (T, c) with the speed change capped, then replaces the
 vorticity by the exact solution of its linear equation for the new
-temperature (block Gauss-Seidel, no relaxation).  The discontinuous
+temperature (block Gauss-Seidel, no relaxation).  c being a Newton
+unknown, no slope of the residual in c is estimated.  The discontinuous
 step_linear reaction is handled by active-set linearization: the
 ignition mask enters the operator and each solve is exact on its
 branch, so the iteration can settle bit-exactly instead of chattering.
-Picard sweeps at fixed speed (solve_steady), damped at tau > 0, serve
-the tau = 0 stage and fixed-c solves only.
+Picard sweeps at fixed speed (solve_steady), relaxed by PICARD_DAMPING
+at tau > 0, serve the tau = 0 stage and fixed-c solves only.  Both
+iterations share _PicardState's operator and vorticity assembly.
 
 All these systems share the 5-point pattern of their grid, so every
 sparse LU (_factor) reuses one symmetric minimum-degree order per block
@@ -100,17 +102,20 @@ def front_residual(T: ScalarField, theta0: float) -> float:
     return float(T.values[keep, :].max() - theta0)
 
 
+# relaxation of solve_steady's fixed-speed sweeps at tau > 0; the pinned
+# Newton of the continuation refreshes the vorticity undamped
+PICARD_DAMPING = 0.85
+
+
 @dataclass
 class Continuation:
     """Homotopy and inner-iteration settings.
 
-    picard_damping relaxes solve_steady's fixed-speed sweeps at tau > 0;
-    the pinned Newton of the continuation refreshes the vorticity
-    undamped.
+    A pinned stage exits once its update is below inner_tol and its
+    normalization residual below c_tol * 0.05 * a * theta0 * (1 - theta0).
     """
 
     tau_steps: int = 10
-    picard_damping: float = 0.85
     inner_tol: float = 1e-8
     c_tol: float = 1e-4
     max_inner: int = 200
@@ -118,10 +123,11 @@ class Continuation:
     def __post_init__(self):
         if self.tau_steps < 1:
             raise ConfigurationError("tau_steps must be >= 1")
-        if not 0.0 < self.picard_damping <= 1.0:
-            raise ConfigurationError("picard_damping must lie in (0, 1]")
-        if self.inner_tol <= 0 or self.c_tol <= 0:
-            raise ConfigurationError("tolerances must be positive")
+        if self.max_inner < 1:
+            raise ConfigurationError("max_inner must be >= 1")
+        # each check is written so that NaN fails it
+        if not (0.0 < self.inner_tol < math.inf and 0.0 < self.c_tol < math.inf):
+            raise ConfigurationError("tolerances must be finite and positive")
 
 
 @dataclass
@@ -134,10 +140,10 @@ class FrontProblem:
     continuation: Continuation = dc_field(default_factory=Continuation)
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ConfigurationError("rho must be nonnegative")
-        if self.sigma <= 0:
-            raise ConfigurationError("sigma must be positive")
+        if not 0.0 <= self.rho < math.inf:
+            raise ConfigurationError("rho must be finite and nonnegative")
+        if not 0.0 < self.sigma < math.inf:
+            raise ConfigurationError("sigma must be finite and positive")
 
 
 @dataclass
@@ -151,8 +157,6 @@ class FrontSolution:
     residual_omega: float
     normalization_residual: float
     iterations: int = 0
-    c_sensitivity: float = float("nan")
-    monotone_violations: int = 0
     trace: list = dc_field(default_factory=list)
 
     def speed_bracket(self, problem: FrontProblem) -> tuple[float, float]:
@@ -327,7 +331,6 @@ class _PicardState:
         self.mask_history: list[bytes] = []
         self.mask_frozen = False
         self.mask = problem.reaction.ignited(self.T)
-        self.flow = None
         self.last_A = None
         self.last_B_rhs = None
         self._lu_cache: dict = {}
@@ -356,43 +359,64 @@ class _PicardState:
     def decoupled(self) -> bool:
         return self.problem.rho * self.tau == 0.0 and np.abs(self.W).max() == 0.0
 
-    def sweep(self, c: float, gamma: float):
-        """One Picard sweep at speed c; returns (dT, dW, res)."""
-        p, g, ops, tau = self.problem, self.problem.grid, self.ops, self.tau
-        f = p.reaction
-        uT, kT, uW = ops.unknownT, ops.knownT, ops.unknownW
+    def temperature_operator(self, c: float):
+        """-LAP_T - c DX + tau skew_T under the frozen flow; returns (A, v, w).
 
-        if self.decoupled:
-            v = w = None
-            skewT = None
-        else:
-            omega_f = ScalarField(g, self.W, vorticity_bc())
-            self.flow = velocity_from_vorticity(omega_f)
-            v, w = self.flow.v.values, self.flow.w.values
-            skewT = ops.skew_T(v, w)
-
+        The velocity (v, w) is None while the vorticity is decoupled.
+        """
+        ops = self.ops
         A = -ops.LAP_T - c * ops.DX
-        if skewT is not None:
-            A = A + tau * skewT
+        if self.decoupled:
+            return A.tocsr(), None, None
+        flow = velocity_from_vorticity(ScalarField(self.problem.grid, self.W, vorticity_bc()))
+        v, w = flow.v.values, flow.w.values
+        return (A + self.tau * ops.skew_T(v, w)).tocsr(), v, w
+
+    def solve_vorticity(self, T: np.ndarray, c: float, v, w):
+        """Exact solve of the vorticity equation forced by the buoyancy of T.
+
+        Returns (W_new, dW), dW relative to the larger of the old and new
+        vorticity, and keeps (B, rhs) for finish; a decoupled state keeps W.
+        """
+        if self.decoupled:
+            self.last_B_rhs = None
+            return self.W, 0.0
+        p, g, ops = self.problem, self.problem.grid, self.ops
+        uW = ops.unknownW
+        T_field = ScalarField(g, T, temperature_bc())
+        forcing = p.rho * self.tau * (
+            p.ehat.e2 * dx_bc(T_field).values - p.ehat.e1 * dz_bc(T_field).values
+        )
+        B = (-p.sigma * ops.LAP_W - c * ops.DX + ops.skew_W(v, w)).tocsr()
+        rhs_W = forcing.ravel()[uW]
+        W_new = np.zeros(g.shape)
+        W_new.ravel()[uW] = _factor(B[uW][:, uW], ops.order_W).solve(rhs_W)
+        scale_w = max(np.abs(W_new).max(), np.abs(self.W).max(), 1e-8)
+        self.last_B_rhs = (B, rhs_W)
+        return W_new, float(np.abs(W_new - self.W).max()) / scale_w
+
+    def sweep(self, c: float, gamma: float) -> tuple[float, float]:
+        """One Picard sweep at speed c relaxed by gamma; returns (dT, dW)."""
+        ops, tau, f = self.ops, self.tau, self.problem.reaction
+        uT, kT = ops.unknownT, ops.knownT
+
+        A, v, w = self.temperature_operator(c)
         if self.active_set:
             amp = f.amplitude
             m = self.mask.ravel().astype(float)
-            A = A + tau * amp * sp.diags(m)
+            A = (A + tau * amp * sp.diags(m)).tocsr()
             f_rhs = tau * amp * m
         else:
             f_rhs = tau * f(self.T).ravel()
-        A = A.tocsr()
         rhs = f_rhs[uT] - (A[uT][:, kT] @ self.tb[kT])
 
-        lu = None
-        if self.decoupled:
-            key = (c, self.mask.tobytes() if self.active_set else None)
-            lu = self._lu_cache.get(key)
+        # a decoupled operator changes only with c and the ignition mask
+        key = (c, self.mask.tobytes() if self.active_set else None)
+        lu = self._lu_cache.get(key) if self.decoupled else None
         if lu is None:
             lu = _factor(A[uT][:, uT], ops.order_T)
             if self.decoupled:
-                self._lu_cache.clear()
-                self._lu_cache[(c, self.mask.tobytes() if self.active_set else None)] = lu
+                self._lu_cache = {key: lu}
 
         T_new = self.T.copy()
         T_new.ravel()[uT] = lu.solve(rhs)
@@ -400,28 +424,12 @@ class _PicardState:
         dT = float(np.abs(T_new - self.T).max())
         self.last_A = A
 
-        if self.decoupled:
-            W_new = self.W
-            dW = 0.0
-            self.last_B_rhs = None
-        else:
-            T_field = ScalarField(g, T_new, temperature_bc())
-            forcing = p.rho * tau * (
-                p.ehat.e2 * dx_bc(T_field).values - p.ehat.e1 * dz_bc(T_field).values
-            )
-            B = (-p.sigma * ops.LAP_W - c * ops.DX + ops.skew_W(v, w)).tocsr()
-            rhs_W = forcing.ravel()[uW]
-            W_new = np.zeros(g.shape)
-            W_new.ravel()[uW] = _factor(B[uW][:, uW], ops.order_W).solve(rhs_W)
-            scale_w = max(np.abs(W_new).max(), np.abs(self.W).max(), 1e-8)
-            dW = float(np.abs(W_new - self.W).max()) / scale_w
-            self.last_B_rhs = (B, rhs_W)
-
+        # the forcing comes from the undamped T_new
+        W_new, dW = self.solve_vorticity(T_new, c, v, w)
         self.T = self.T + gamma * (T_new - self.T)
         self.W = self.W + gamma * (W_new - self.W)
         self.update_mask()
-        res = float(self.T[g.x >= -1e-12, :].max() - f.theta0)
-        return dT, dW, res
+        return dT, dW
 
     def finish(self, c: float, iterations: int) -> FrontSolution:
         p, g = self.problem, self.problem.grid
@@ -474,11 +482,10 @@ def solve_steady(
     st = _PicardState(problem, tau, init)
     if init is None:
         st.set_default_profile(c)
-    gamma = 1.0 if tau == 0.0 else cfg.picard_damping
+    gamma = 1.0 if tau == 0.0 else PICARD_DAMPING
     history = []
     for it in range(1, cfg.max_inner + 1):
-        dT, dW, _ = st.sweep(c, gamma)
-        history.append(max(dT, dW))
+        history.append(max(st.sweep(c, gamma)))
         if history[-1] < cfg.inner_tol:
             return st.finish(c, it)
     raise NonConvergenceError(
@@ -492,7 +499,6 @@ def solve_steady_pinned(
     tau: float,
     c_init: float,
     init: tuple[np.ndarray, np.ndarray] | None = None,
-    slope_hint: float | None = None,
 ) -> FrontSolution:
     """Bordered Newton on (T, c) with the normalization as phase condition.
 
@@ -502,47 +508,29 @@ def solve_steady_pinned(
     translation direction well-conditioned; the bordered matrix is
     factored as a whole), then replaces the vorticity by the exact
     solution of its linear equation with the new temperature (no
-    relaxation).  Slope-sign reversals of the measured residual-vs-c
-    relation are counted as monotonicity violations and reported.
+    relaxation).
     """
     if not 0.0 < tau <= 1.0:
         raise ConfigurationError("pinned solves need tau in (0, 1]")
     cfg = problem.continuation
-    p = problem
-    g = p.grid
-    f = p.reaction
+    g = problem.grid
+    f = problem.reaction
     theta0 = f.theta0
-    ops = _operators_for(g)
-    uT, uW = ops.unknownT, ops.unknownW
-    st = _PicardState(p, tau, init)
+    st = _PicardState(problem, tau, init)
+    uT = st.ops.unknownT
     if init is None:
         st.set_default_profile(c_init)
 
-    slope_floor = 0.05 * g.a * theta0 * (1.0 - theta0)
-    slope = slope_hint if slope_hint else -g.a * theta0 * (1.0 - theta0)
+    res_tol = cfg.c_tol * (0.05 * g.a * theta0 * (1.0 - theta0))
     xmask = np.zeros(g.shape, dtype=bool)
     xmask[1:-1, :] = True
     xmask[g.x < -1e-12, :] = False
     flat_region = np.flatnonzero(xmask.ravel())
 
     c = c_init
-    prev: tuple[float, float] | None = None
-    violations = 0
     history = []
-    res = float("nan")
     for it in range(1, cfg.max_inner + 1):
-        if st.decoupled:
-            v = w = None
-            skewT = None
-        else:
-            st.flow = velocity_from_vorticity(ScalarField(g, st.W, vorticity_bc()))
-            v, w = st.flow.v.values, st.flow.w.values
-            skewT = ops.skew_T(v, w)
-
-        A_lin = -ops.LAP_T - c * ops.DX
-        if skewT is not None:
-            A_lin = A_lin + tau * skewT
-        A_lin = A_lin.tocsr()
+        A_lin, v, w = st.temperature_operator(c)
         Tflat = st.T.ravel()
         mask_used = st.mask.copy() if st.active_set else None
         if st.active_set:
@@ -553,7 +541,7 @@ def solve_steady_pinned(
             f_val = f(st.T).ravel()
             f_der = f.derivative(st.T).ravel()
         F = (A_lin @ Tflat - tau * f_val)[uT]
-        dFdc = (-(ops.DX @ Tflat))[uT]
+        dFdc = (-(st.ops.DX @ Tflat))[uT]
 
         i_star = flat_region[np.argmax(Tflat[flat_region])]
         res = float(Tflat[i_star] - theta0)
@@ -564,7 +552,7 @@ def solve_steady_pinned(
         col = sp.csc_matrix(dFdc.reshape(-1, 1))
         row = sp.csr_matrix(([1.0], ([0], [local])), shape=(1, n))
         B = sp.bmat([[J_uu, col], [row, sp.csc_matrix((1, 1))]], format="csr")
-        step = _factor(B, ops.order_T).solve(np.concatenate([-F, [-res]]))
+        step = _factor(B, st.ops.order_T).solve(np.concatenate([-F, [-res]]))
         dT_vec, dc = step[:n], float(step[n])
 
         dc_max = 0.25 * (1.0 + abs(c))
@@ -574,52 +562,20 @@ def solve_steady_pinned(
         np.clip(T_new, 0.0, 1.0, out=T_new)
         dT = float(np.abs(T_new - st.T).max())
         st.T = T_new
-        # slope of residual vs speed from trajectory pairs; only moves
-        # well above c_tol are attributed to the c-dependence (smaller
-        # ones are dominated by field drift between sweeps)
-        if prev is not None and abs(c - prev[0]) > 10.0 * cfg.c_tol:
-            measured = (res - prev[1]) / (c - prev[0])
-            if measured < 0.0:
-                slope = 0.5 * slope + 0.5 * measured
-            else:
-                violations += 1
-            prev = (c, res)
-        elif prev is None:
-            prev = (c, res)
         c += scale * dc
         st.update_mask()
         st.last_A = A_lin
 
-        if st.decoupled:
-            dW = 0.0
-            st.last_B_rhs = None
-        else:
-            T_field = ScalarField(g, st.T, temperature_bc())
-            forcing = p.rho * tau * (
-                p.ehat.e2 * dx_bc(T_field).values - p.ehat.e1 * dz_bc(T_field).values
-            )
-            Bw = (-p.sigma * ops.LAP_W - c * ops.DX + ops.skew_W(v, w)).tocsr()
-            rhs_W = forcing.ravel()[uW]
-            W_new = np.zeros(g.shape)
-            W_new.ravel()[uW] = _factor(Bw[uW][:, uW], ops.order_W).solve(rhs_W)
-            scale_w = max(np.abs(W_new).max(), np.abs(st.W).max(), 1e-8)
-            dW = float(np.abs(W_new - st.W).max()) / scale_w
-            st.W = W_new
-            st.last_B_rhs = (Bw, rhs_W)
-
+        st.W, dW = st.solve_vorticity(st.T, c, v, w)
         history.append(max(dT, dW, abs(dc)))
         res_now = float(st.T.ravel()[flat_region].max() - theta0)
-        target = cfg.c_tol * max(abs(slope), slope_floor)
         # the ignition set used to build the last solve must agree with
         # the set implied by its own output, else keep iterating
         mask_consistent = (not st.active_set) or bool(
             np.array_equal(mask_used, f.ignited(st.T))
         )
-        if history[-1] < cfg.inner_tol and abs(res_now) <= target and mask_consistent:
-            sol = st.finish(c, it)
-            sol.c_sensitivity = abs(slope)
-            sol.monotone_violations = violations
-            return sol
+        if history[-1] < cfg.inner_tol and abs(res_now) <= res_tol and mask_consistent:
+            return st.finish(c, it)
     raise NonConvergenceError(
         f"pinned Newton stalled at tau={tau:g}: update {history[-1]:.3e}, "
         f"residual {res:.3e}",
@@ -640,14 +596,11 @@ def find_front(problem: FrontProblem) -> FrontSolution:
     taus = list(np.linspace(0.0, 1.0, cfg.tau_steps + 1))
     i = 1
     halvings = 0
-    slope_hint = None
     while i < len(taus):
         tau = taus[i]
         warm = (sol.T.values, sol.omega.values)
         try:
-            nxt = solve_steady_pinned(problem, tau, sol.c, init=warm, slope_hint=slope_hint)
-            sol = nxt
-            slope_hint = -sol.c_sensitivity if math.isfinite(sol.c_sensitivity) else None
+            sol = solve_steady_pinned(problem, tau, sol.c, init=warm)
             trace.append((tau, sol.c, sol.normalization_residual))
             i += 1
         except NonConvergenceError:

@@ -112,7 +112,6 @@ def verify_nonplanar_front(problem: FrontProblem) -> Report:
     obs = _front_observables(sol, problem.reaction)
     rep.data["front"] = obs
     rep.data["tau"] = sol.tau
-    rep.data["monotone_violations"] = sol.monotone_violations
     rep.data["front_sol"] = sol  # full solution for downstream identity checks
 
     g = problem.grid

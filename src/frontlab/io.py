@@ -191,8 +191,8 @@ def build_sim_config(cfg: dict) -> SimConfig:
     e1 = _get(cfg, "physics", "e1", float, 0.0)
     e2 = _get(cfg, "physics", "e2", float, 1.0)
     ehat = GravityDir.normalized(e1, e2)
-    dt_raw = cfg.get("run", {}).get("dt", "auto")
-    dt = None if str(dt_raw).lower() == "auto" else float(dt_raw)
+    auto_dt = _get(cfg, "run", "dt", str, "auto").lower() == "auto"
+    dt = None if auto_dt else _get(cfg, "run", "dt", float)
     seed = _get(cfg, "run", "seed", int, 0)
     return SimConfig(
         grid=grid,

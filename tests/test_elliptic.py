@@ -192,22 +192,6 @@ def test_helmholtz_inverts_the_ghost_stencil(bc, nx, nz, s, seed):
     assert np.abs(res).max() <= 1e-13 * scale * np.abs(rhs).max()
 
 
-def test_lift_roundtrip():
-    from frontlab.elliptic import lift_x, unlift_x
-
-    g = make_grid(2.0, 1.0, 33, 17)
-    f = field_from_function(
-        g, lambda X, Z: 1.0 - (X + g.a) / (2 * g.a) + 0.1 * np.sin(np.pi * (X + g.a) / (2 * g.a)),
-        temperature_bc(),
-    )
-    hom, left, right = lift_x(f)
-    assert left == pytest.approx(1.0) and right == pytest.approx(0.0)
-    assert np.abs(hom.values[0, :]).max() < 1e-14
-    assert np.abs(hom.values[-1, :]).max() < 1e-14
-    back = unlift_x(hom, left, right, temperature_bc())
-    assert np.abs(back.values - f.values).max() < 1e-14
-
-
 def test_linear_lift_is_harmonic():
     g = make_grid(2.0, 1.0, 17, 17)
     lift = linear_lift(g, 1.0, 0.0)

@@ -293,6 +293,20 @@ def test_cli_missing_config_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [("dt = 0.05", "dt = fast"), ("dt = 0.05", "dt = nan"),
+     ("rho = 0.1", "rho = nan"), ("t_end = 0.5", "t_end = nan")],
+    ids=["dt-text", "dt-nan", "rho-nan", "t_end-nan"],
+)
+def test_cli_evolve_bad_value_exits_2(tmp_path, capsys, old, new):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CONFIG_TEXT.replace(old, new))
+    out_path = tmp_path / "series.csv"
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    assert not out_path.exists()
+
+
 def test_cli_selftest(capsys):
     code = main(["selftest"])
     out = capsys.readouterr().out
