@@ -1,11 +1,23 @@
 """Steady traveling fronts on the finite strip.
 
-The speed is pinned by the normalization max_{x>=0} T = theta0.  A
-homotopy parameter tau ramps from the closed-form linear problem at
-tau = 0 (no advection, no reaction, no coupling) to the fully coupled
-system at tau = 1, warm-starting each stage from the previous one.
-tau multiplies the temperature advection, the reaction and the buoyancy
-torque; the vorticity keeps its full advection at every tau.
+The speed is pinned by the normalization max_{x>=0} T = theta0.
+find_front runs two natural-parameter continuations, each stage
+warm-started from the previous one:
+
+1. The planar front.  A homotopy parameter tau ramps from the
+   closed-form linear problem at tau = 0 (no advection, no reaction) to
+   the reaction-diffusion front at tau = 1, all at rho = 0.  Neumann walls
+   and no flow make that front constant in z, so it is computed on a
+   strip of PLANAR_NZ z-nodes whenever the grid has at least twice as
+   many; its broadcast over z solves the full-grid equations.
+2. The coupled front.  From the broadcast planar front with omega = 0,
+   pinned stages at tau = 1 on the full grid continue in the Rayleigh
+   number up to problem.rho.
+
+A stage that does not converge gets the midpoint of its interval
+inserted before it, in tau or in rho (_continue).  tau multiplies the
+temperature advection, the reaction and the buoyancy torque; the
+vorticity keeps its full advection at every tau.
 
 Stages with tau > 0 run a bordered semi-smooth Newton iteration on
 (T, c) (solve_steady_pinned) with the normalization as phase condition.
@@ -33,7 +45,7 @@ on its matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -105,6 +117,11 @@ def front_residual(T: ScalarField, theta0: float) -> float:
 # relaxation of solve_steady's fixed-speed sweeps at tau > 0; the pinned
 # Newton of the continuation refreshes the vorticity undamped
 PICARD_DAMPING = 0.85
+# z-nodes of the strip the planar stages of find_front run on: the fewest
+# the grid guard allows
+PLANAR_NZ = 8
+# midpoints one continuation inserts before a failing stage raises
+MAX_HALVINGS = 4
 
 
 @dataclass
@@ -148,6 +165,14 @@ class FrontProblem:
 
 @dataclass
 class FrontSolution:
+    """A converged stage; iterations counts its sweeps.
+
+    find_front fills trace with one (tau, c, normalization residual) per
+    converged stage: trace[0] is the tau = 0 stage at its closed-form
+    speed, then come the tau stages of the planar front and the rho
+    stages of the coupled one, the latter recorded at tau = 1.
+    """
+
     c: float
     T: ScalarField
     omega: ScalarField
@@ -401,6 +426,8 @@ class _PicardState:
         uT, kT = ops.unknownT, ops.knownT
 
         A, v, w = self.temperature_operator(c)
+        # finish subtracts tau f(T), so the stored operator has no mask term
+        self.last_A = A
         if self.active_set:
             amp = f.amplitude
             m = self.mask.ravel().astype(float)
@@ -422,7 +449,6 @@ class _PicardState:
         T_new.ravel()[uT] = lu.solve(rhs)
         np.clip(T_new, 0.0, 1.0, out=T_new)
         dT = float(np.abs(T_new - self.T).max())
-        self.last_A = A
 
         # the forcing comes from the undamped T_new
         W_new, dW = self.solve_vorticity(T_new, c, v, w)
@@ -583,33 +609,75 @@ def solve_steady_pinned(
     )
 
 
-def find_front(problem: FrontProblem) -> FrontSolution:
-    """Continuation in tau from the closed-form linear stage to tau = 1."""
-    cfg = problem.continuation
-    g = problem.grid
-    theta0 = problem.reaction.theta0
+def _continue(stage, params: list, c: float, init, trace: list) -> FrontSolution:
+    """Natural-parameter continuation through params[1:] from (c, init).
 
-    c0 = tau0_speed(theta0, g.a)
-    sol = solve_steady(problem, c0, 0.0, init=None)
-    trace = [(0.0, c0, sol.normalization_residual)]
-
-    taus = list(np.linspace(0.0, 1.0, cfg.tau_steps + 1))
+    stage(param, c, init) solves at one parameter value; each stage starts
+    from the last one's (c, T, omega) and appends (tau, c, normalization
+    residual) to trace.  A stage that raises NonConvergenceError gets the
+    midpoint of its interval inserted before it, at most MAX_HALVINGS
+    times per continuation.
+    """
     i = 1
     halvings = 0
-    while i < len(taus):
-        tau = taus[i]
-        warm = (sol.T.values, sol.omega.values)
+    while i < len(params):
         try:
-            sol = solve_steady_pinned(problem, tau, sol.c, init=warm)
-            trace.append((tau, sol.c, sol.normalization_residual))
-            i += 1
+            sol = stage(params[i], c, init)
         except NonConvergenceError:
-            if halvings >= 4:
+            if halvings >= MAX_HALVINGS:
                 raise
-            taus.insert(i, 0.5 * (taus[i - 1] + taus[i]))
+            params.insert(i, 0.5 * (params[i - 1] + params[i]))
             halvings += 1
-    out_of_bracket = not sol.speed_in_bracket(problem)
-    if out_of_bracket:
+            continue
+        trace.append((sol.tau, sol.c, sol.normalization_residual))
+        c, init = sol.c, (sol.T.values, sol.omega.values)
+        i += 1
+    return sol
+
+
+def find_front(problem: FrontProblem) -> FrontSolution:
+    """Planar front by continuation in tau, then coupling by continuation in rho.
+
+    The tau homotopy runs at rho = 0, on a strip of PLANAR_NZ z-nodes when
+    the grid has at least twice that many.  Its front is constant in z, so
+    its broadcast with omega = 0 solves the full-grid equations at rho = 0;
+    from there pinned stages at tau = 1 step rho up to problem.rho.  Below
+    the size rule the tau homotopy runs on the problem's own grid, and at
+    rho = 0 its front is the answer.
+
+    The returned trace holds one (tau, c, normalization residual) per
+    converged stage: trace[0] is the tau = 0 stage at c0, then the tau
+    stages, then the rho stages, each recorded at tau = 1.
+    """
+    cfg = problem.continuation
+    g = problem.grid
+    thin = g.nz >= 2 * PLANAR_NZ
+    planar = replace(
+        problem, rho=0.0, grid=StripGrid(g.a, g.lam, g.nx, PLANAR_NZ) if thin else g
+    )
+
+    c0 = tau0_speed(problem.reaction.theta0, g.a)
+    sol = solve_steady(planar, c0, 0.0, init=None)
+    trace = [(0.0, c0, sol.normalization_residual)]
+    sol = _continue(
+        lambda tau, c, init: solve_steady_pinned(planar, tau, c, init=init),
+        list(np.linspace(0.0, 1.0, cfg.tau_steps + 1)),
+        sol.c,
+        (sol.T.values, sol.omega.values),
+        trace,
+    )
+    if thin or problem.rho > 0.0:
+        planar_T = np.broadcast_to(sol.T.values[:, :1], g.shape)
+        sol = _continue(
+            lambda rho, c, init: solve_steady_pinned(
+                replace(problem, rho=rho), 1.0, c, init=init
+            ),
+            [0.0, problem.rho],
+            sol.c,
+            (planar_T, np.zeros(g.shape)),
+            trace,
+        )
+    if not sol.speed_in_bracket(problem):
         raise BracketError(
             f"converged speed {sol.c:g} violates the a-priori bracket "
             f"{sol.speed_bracket(problem)}",

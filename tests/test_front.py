@@ -125,6 +125,9 @@ def test_solve_steady_laminar_embedding():
     # the pinned position is hypersensitive to c, so the residual only
     # reflects the O(h^2) speed discretization error; front stays near 0
     assert abs(sol.normalization_residual) < 0.1
+    # the stored operator carries no ignition-mask term, so the reaction
+    # is subtracted once
+    assert sol.residual_T <= 1e-8
 
 
 def test_solve_steady_fast_speed_blows_front_right():
@@ -252,39 +255,43 @@ def _slanted_problem(nx, nz, rho):
     )
 
 
-def _record_pinned_sweeps(monkeypatch) -> list:
-    """Sweeps of every pinned stage find_front runs, failed ones included."""
-    sweeps = []
+def _record_pinned_stages(monkeypatch) -> list:
+    """(grid, rho, sweeps) of every pinned stage find_front runs, failed ones included."""
+    stages = []
     pinned = front.solve_steady_pinned
 
-    def recording(*args, **kwargs):
+    def recording(problem, *args, **kwargs):
         try:
-            sol = pinned(*args, **kwargs)
+            sol = pinned(problem, *args, **kwargs)
         except NonConvergenceError as exc:
-            sweeps.append(len(exc.residual_history))
+            stages.append((problem.grid, problem.rho, len(exc.residual_history)))
             raise
-        sweeps.append(sol.iterations)
+        stages.append((problem.grid, problem.rho, sol.iterations))
         return sol
 
     monkeypatch.setattr(front, "solve_steady_pinned", recording)
-    return sweeps
+    return stages
 
 
 @pytest.mark.parametrize("rho, c_before", [(0.3, 0.666384669), (30.0, 4.14349192)])
 def test_slanted_front_speed_and_pinned_sweeps(monkeypatch, rho, c_before):
-    # c_before was computed with a 0.85-relaxed vorticity refresh and
-    # COLAMD-ordered factorizations; the undamped refresh and the
-    # minimum-degree orders must land on the same front
+    # c_before was computed with a 0.85-relaxed vorticity refresh,
+    # COLAMD-ordered factorizations and every tau stage on the full grid
+    # at rho; the planar homotopy on the thin strip followed by the rho
+    # continuation must land on the same front
     p = _slanted_problem(129, 17, rho)
-    sweeps = _record_pinned_sweeps(monkeypatch)
+    stages = _record_pinned_stages(monkeypatch)
     sol = find_front(p)
-    assert sol.tau == 1.0 and len(sweeps) == p.continuation.tau_steps
+    assert sol.tau == 1.0
     assert sol.speed_in_bracket(p)
     assert check_steady_identity(sol, p.reaction) <= 1e-2
     assert abs(sol.c - c_before) <= 1e-6
-    if rho == 0.3:
-        # relaxing each refresh by 0.85 held every later stage to 11-12 sweeps
-        assert max(sweeps[1:]) <= 8
+    strip = make_grid(p.grid.a, p.grid.lam, p.grid.nx, front.PLANAR_NZ)
+    planar = [(grid, r) for grid, r, _ in stages if grid != p.grid]
+    assert planar == [(strip, 0.0)] * p.continuation.tau_steps
+    # the full-grid tau homotopy took 58 (rho = 0.3) and 175 (rho = 30) sweeps
+    full_sweeps = sum(n for grid, _, n in stages if grid == p.grid)
+    assert full_sweeps <= {0.3: 10, 30.0: 45}[rho]
 
 
 def test_front_lu_matches_plain_splu_and_is_stateless(monkeypatch):
@@ -297,11 +304,14 @@ def test_front_lu_matches_plain_splu_and_is_stateless(monkeypatch):
         return counted(*args, **kwargs)
 
     monkeypatch.setattr(front, "splu", counting)
-    sweeps = _record_pinned_sweeps(monkeypatch)
+    stages = _record_pinned_stages(monkeypatch)
     sol = find_front(p)
-    # one LU at tau = 0 (reused at its fixed speed), then one bordered
-    # (T, c) and one vorticity LU per pinned sweep
-    assert len(factorizations) == 1 + 2 * sum(sweeps)
+    # one LU at tau = 0 (reused at its fixed speed) and one bordered (T, c)
+    # LU per planar sweep; then per full-grid sweep a bordered and a
+    # vorticity LU
+    planar = sum(n for grid, _, n in stages if grid != p.grid)
+    full = sum(n for grid, _, n in stages if grid == p.grid)
+    assert len(factorizations) == 1 + planar + 2 * full
     # no factorization depends on an earlier one: the same problem solved
     # again in the same process gives the same front bit for bit, and the
     # orders come from the grid alone
@@ -326,3 +336,50 @@ def test_front_lu_matches_plain_splu_and_is_stateless(monkeypatch):
         ref = splu(matrix.tocsc()).solve(rhs)
         got = front._factor(matrix, order).solve(rhs)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kind", ["quad_ignition", "step_linear"])
+def test_planar_reduction_is_exact(monkeypatch, kind):
+    # at rho = 0 the front is constant in z, so the thin strip's front,
+    # broadcast over z, solves the full grid's equations: both sides of
+    # the size rule give one speed, and the full-grid stage only confirms it
+    stages = _record_pinned_stages(monkeypatch)
+    own_grid = find_front(_problem(nx=65, nz=9, kind=kind)).c  # below the rule
+    for nz in (17, 33):
+        p = _problem(nx=65, nz=nz, kind=kind)
+        stages.clear()
+        assert abs(find_front(p).c - own_grid) <= 1e-10
+        assert [(grid, n) for grid, _, n in stages if grid == p.grid] == [(p.grid, 1)]
+
+
+def test_rho_continuation_inserts_midpoints(monkeypatch):
+    p = _slanted_problem(33, 17, 0.3)
+    direct = find_front(p)
+    pinned = front.solve_steady_pinned
+    full_rhos = []
+
+    def failing(times):
+        def stage(problem, *args, **kwargs):
+            if problem.grid == p.grid:
+                full_rhos.append(problem.rho)
+                if len(full_rhos) <= times:
+                    raise NonConvergenceError("forced", residual_history=[1.0])
+            return pinned(problem, *args, **kwargs)
+
+        return stage
+
+    monkeypatch.setattr(front, "solve_steady_pinned", failing(1))
+    sol = find_front(p)
+    assert full_rhos == [p.rho, p.rho / 2, p.rho]
+    assert abs(sol.c - direct.c) <= 1e-9
+    # the rho stages are recorded at tau = 1 after the planar ones
+    assert len(sol.trace) == len(direct.trace) + 1
+    assert sol.trace[:-2] == direct.trace[:-1]
+    assert [entry[0] for entry in sol.trace[-2:]] == [1.0, 1.0]
+
+    # a stage that never converges raises after four halvings toward rho = 0
+    full_rhos.clear()
+    monkeypatch.setattr(front, "solve_steady_pinned", failing(math.inf))
+    with pytest.raises(NonConvergenceError):
+        find_front(p)
+    assert full_rhos == [p.rho / 2**k for k in range(5)]
