@@ -6,18 +6,24 @@ warm-started from the previous one:
 
 1. The planar front.  A homotopy parameter tau ramps from the
    closed-form linear problem at tau = 0 (no advection, no reaction) to
-   the reaction-diffusion front at tau = 1, all at rho = 0.  Neumann walls
-   and no flow make that front constant in z, so it is computed on a
-   strip of PLANAR_NZ z-nodes whenever the grid has at least twice as
-   many; its broadcast over z solves the full-grid equations.
-2. The coupled front.  From the broadcast planar front with omega = 0,
-   pinned stages at tau = 1 on the full grid continue in the Rayleigh
-   number up to problem.rho.
+   the reaction-diffusion front at tau = 1, all at rho = 0.
+2. The coupled front.  From the planar front with omega = 0, pinned
+   stages at tau = 1 on the full grid continue in the Rayleigh number up
+   to problem.rho.
 
 A stage that does not converge gets the midpoint of its interval
 inserted before it, in tau or in rho (_continue).  tau multiplies the
 temperature advection, the reaction and the buoyancy torque; the
 vorticity keeps its full advection at every tau.
+
+Planar data (rho * tau = 0, omega = 0 and T constant along z) stay
+planar: with Neumann walls and no flow the equations do not couple the
+z-nodes.  A stage started from such data therefore solves on the (nx, 1)
+x-line and broadcasts its answer over z; the whole planar homotopy runs
+there.  The line's matrices are the 1D x-factors whose Kronecker lifts
+make the full-grid ones, and the full-grid temperature operator applies
+those factors column by column with its z-coupling apart
+(_SplitOperator), so on planar data the two agree bit for bit.
 
 Stages with tau > 0 run a bordered semi-smooth Newton iteration on
 (T, c) (solve_steady_pinned) with the normalization as phase condition.
@@ -38,13 +44,14 @@ iterations share _PicardState's operator and vorticity assembly.
 
 All these systems share the 5-point pattern of their grid, so every
 sparse LU (_factor) reuses one symmetric minimum-degree order per block
-and grid, computed from the pattern alone: a factorization depends only
-on its matrix.
+and grid (the x-line has its own), computed from the pattern alone: a
+factorization depends only on its matrix.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property, lru_cache
 
@@ -53,7 +60,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spilu, splu
 
 from .errors import BracketError, ConfigurationError, NonConvergenceError
-from .flow import FlowState, GravityDir, velocity_from_vorticity
+from .flow import FlowState, GravityDir, flow_from_streamfunction, velocity_from_vorticity
 from .grid import (
     ScalarField,
     StripGrid,
@@ -117,9 +124,6 @@ def front_residual(T: ScalarField, theta0: float) -> float:
 # relaxation of solve_steady's fixed-speed sweeps at tau > 0; the pinned
 # Newton of the continuation refreshes the vorticity undamped
 PICARD_DAMPING = 0.85
-# z-nodes of the strip the planar stages of find_front run on: the fewest
-# the grid guard allows
-PLANAR_NZ = 8
 # midpoints one continuation inserts before a failing stage raises
 MAX_HALVINGS = 4
 
@@ -138,10 +142,11 @@ class Continuation:
     max_inner: int = 200
 
     def __post_init__(self):
-        if self.tau_steps < 1:
-            raise ConfigurationError("tau_steps must be >= 1")
-        if self.max_inner < 1:
-            raise ConfigurationError("max_inner must be >= 1")
+        for name in ("tau_steps", "max_inner"):
+            value = getattr(self, name)
+            # a float (NaN included) would reach range() and np.linspace
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ConfigurationError(f"{name} must be an integer >= 1")
         # each check is written so that NaN fails it
         if not (0.0 < self.inner_tol < math.inf and 0.0 < self.c_tol < math.inf):
             raise ConfigurationError("tolerances must be finite and positive")
@@ -202,41 +207,53 @@ class _Operators:
 
     Full-grid matrices in row-major flattening (idx = i*nz + j); rows at
     Dirichlet-pinned nodes are never used, columns at those nodes feed
-    the right-hand side.
+    the right-hand side.  With line=True the same matrices are built for
+    the (nx, 1) x-line of planar data: one z-node whose z-differences are
+    zero, so every matrix is its 1D x-factor.
     """
 
-    def __init__(self, grid: StripGrid):
-        nx, nz, hx, hz = grid.nx, grid.nz, grid.hx, grid.hz
+    def __init__(self, grid: StripGrid, line: bool = False):
+        nx, hx = grid.nx, grid.hx
+        nz = 1 if line else grid.nz
         Ix = sp.identity(nx, format="csr")
         Iz = sp.identity(nz, format="csr")
 
         Lx1 = sp.diags([np.ones(nx - 1), np.full(nx, -2.0), np.ones(nx - 1)], [-1, 0, 1]) / hx**2
         Dx1 = sp.diags([-np.ones(nx - 1), np.ones(nx - 1)], [-1, 1]) / (2.0 * hx)
 
-        LzT1 = sp.lil_matrix((nz, nz))
-        for j in range(1, nz - 1):
-            LzT1[j, j - 1 : j + 2] = [1.0, -2.0, 1.0]
-        LzT1[0, 0], LzT1[0, 1] = -2.0, 2.0
-        LzT1[nz - 1, nz - 2], LzT1[nz - 1, nz - 1] = 2.0, -2.0
-        LzT1 = (LzT1 / hz**2).tocsr()
+        if line:
+            LzT1 = LzW1 = DzTc = DzTf = DzW1 = sp.csr_matrix((1, 1))
+        else:
+            hz = grid.hz
+            LzT1 = sp.lil_matrix((nz, nz))
+            for j in range(1, nz - 1):
+                LzT1[j, j - 1 : j + 2] = [1.0, -2.0, 1.0]
+            LzT1[0, 0], LzT1[0, 1] = -2.0, 2.0
+            LzT1[nz - 1, nz - 2], LzT1[nz - 1, nz - 1] = 2.0, -2.0
+            LzT1 = (LzT1 / hz**2).tocsr()
 
-        LzW1 = sp.diags([np.ones(nz - 1), np.full(nz, -2.0), np.ones(nz - 1)], [-1, 0, 1]) / hz**2
+            LzW1 = (
+                sp.diags([np.ones(nz - 1), np.full(nz, -2.0), np.ones(nz - 1)], [-1, 0, 1]) / hz**2
+            )
 
-        DzTc = sp.lil_matrix((nz, nz))
-        for j in range(1, nz - 1):
-            DzTc[j, j - 1], DzTc[j, j + 1] = -1.0, 1.0
-        DzTc = (DzTc / (2.0 * hz)).tocsr()  # wall rows stay zero (even ghost)
+            DzTc = sp.lil_matrix((nz, nz))
+            for j in range(1, nz - 1):
+                DzTc[j, j - 1], DzTc[j, j + 1] = -1.0, 1.0
+            DzTc = (DzTc / (2.0 * hz)).tocsr()  # wall rows stay zero (even ghost)
 
-        DzTf = sp.lil_matrix((nz, nz))
-        for j in range(1, nz - 1):
-            DzTf[j, j - 1], DzTf[j, j + 1] = -0.5, 0.5
-        DzTf[0, 1] = 1.0  # odd ghost: (g[1] - (-g[1])) / (2 hz)
-        DzTf[nz - 1, nz - 2] = -1.0
-        DzTf = (DzTf / hz).tocsr()
+            DzTf = sp.lil_matrix((nz, nz))
+            for j in range(1, nz - 1):
+                DzTf[j, j - 1], DzTf[j, j + 1] = -0.5, 0.5
+            DzTf[0, 1] = 1.0  # odd ghost: (g[1] - (-g[1])) / (2 hz)
+            DzTf[nz - 1, nz - 2] = -1.0
+            DzTf = (DzTf / hz).tocsr()
 
-        DzW1 = sp.diags([-np.ones(nz - 1), np.ones(nz - 1)], [-1, 1]) / (2.0 * hz)
+            DzW1 = sp.diags([-np.ones(nz - 1), np.ones(nz - 1)], [-1, 1]) / (2.0 * hz)
 
-        self.LAP_T = (sp.kron(Lx1, Iz) + sp.kron(Ix, LzT1)).tocsr()
+        # the temperature operators keep their x-line factors and their
+        # z-coupling apart (_SplitOperator)
+        self.Lx1, self.Dx1 = Lx1.tocsr(), Dx1.tocsr()
+        self.LZZ_T = sp.kron(Ix, LzT1).tocsr()
         self.LAP_W = (sp.kron(Lx1, Iz) + sp.kron(Ix, LzW1)).tocsr()
         self.DX = sp.kron(Dx1, Iz).tocsr()
         self.DZ_Tc = sp.kron(Ix, DzTc).tocsr()
@@ -251,7 +268,13 @@ class _Operators:
         self.unknownT = idx[maskT].ravel()
         self.knownT = idx[~maskT].ravel()
         self.unknownW = idx[maskW].ravel()
+        # unknowns the normalization max_{x>=0} T looks at
+        self.right_half = idx[maskT & (grid.x >= -1e-12)[:, None]].ravel()
         self.shape = (nx, nz)
+
+    @property
+    def LAP_T(self) -> sp.csr_matrix:
+        return (sp.kron(self.Lx1, sp.identity(self.shape[1])) + self.LZZ_T).tocsr()
 
     # Every system on a grid has the 5-point pattern of its Laplacian, so
     # one fill-reducing order per block serves every factorization.
@@ -273,10 +296,42 @@ class _Operators:
         dw = sp.diags(w.ravel())
         return 0.5 * (dv @ self.DX + self.DX @ dv + dw @ self.DZ_W + self.DZ_W @ dw)
 
+    def temperature(self, c: float, advection: sp.spmatrix | None = None) -> "_SplitOperator":
+        """-LAP_T - c DX + advection."""
+        coupling = -self.LZZ_T if advection is None else advection - self.LZZ_T
+        return _SplitOperator((-self.Lx1 - c * self.Dx1).tocsr(), coupling.tocsr())
+
+
+class _SplitOperator:
+    """kron(line, I_z) + diag(diagonal) + coupling, applied term by term.
+
+    line acts along x on every z-column alike.  On data constant along z
+    without flow the coupling (z-Laplacian, zero advection) sums to an
+    exact 0.0 per row, so the product with a broadcast column is the
+    broadcast of the x-line's product bit for bit.  Factorizations take
+    merged().
+    """
+
+    def __init__(self, line: sp.csr_matrix, coupling: sp.csr_matrix, diagonal=0.0):
+        self.line, self.coupling, self.diagonal = line, coupling, diagonal
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        along_x = self.line @ u.reshape(self.line.shape[0], -1)
+        return along_x.ravel() + self.coupling @ u + self.diagonal * u
+
+    def shifted(self, diagonal: np.ndarray) -> "_SplitOperator":
+        """The operator plus diag(diagonal)."""
+        return _SplitOperator(self.line, self.coupling, self.diagonal + diagonal)
+
+    def merged(self) -> sp.csr_matrix:
+        n, nx = self.coupling.shape[0], self.line.shape[0]
+        lift = self.line if n == nx else sp.kron(self.line, sp.identity(n // nx))
+        return (lift + self.coupling + sp.diags(np.broadcast_to(self.diagonal, n))).tocsr()
+
 
 @lru_cache(maxsize=8)
-def _operators_for(grid: StripGrid) -> _Operators:
-    return _Operators(grid)
+def _operators_for(grid: StripGrid, line: bool = False) -> _Operators:
+    return _Operators(grid, line)
 
 
 def _min_degree_order(matrix: sp.spmatrix) -> np.ndarray:
@@ -329,29 +384,31 @@ def _factor(matrix: sp.spmatrix, order: np.ndarray) -> _OrderedLU:
     return _OrderedLU(lu, order)
 
 
-def _boundary_vector(grid: StripGrid) -> np.ndarray:
-    tb = np.zeros(grid.shape)
-    tb[0, :] = 1.0
-    return tb.ravel()
-
-
 class _PicardState:
-    """Shared machinery for one (tau, problem) inner iteration."""
+    """Shared machinery for one (tau, problem) inner iteration.
 
-    def __init__(self, problem: FrontProblem, tau: float, init):
+    Without init, T starts from the linear profile at speed c.  Planar
+    data (rho * tau = 0, omega = 0, T constant along z) are solved on the
+    (nx, 1) x-line; finish broadcasts them back over z.
+    """
+
+    def __init__(self, problem: FrontProblem, tau: float, init, c: float):
         self.problem = problem
         self.tau = tau
         g = problem.grid
-        self.ops = _operators_for(g)
-        self.tb = _boundary_vector(g)
         if init is None:
-            self.T = np.zeros(g.shape)
-            self.W = np.zeros(g.shape)
+            T = np.repeat(linear_profile(c, g.a, g.x)[:, None], g.nz, axis=1)
+            W = np.zeros(g.shape)
         else:
-            self.T = np.array(init[0], dtype=float)
-            self.W = np.array(init[1], dtype=float)
-        self.T[0, :], self.T[-1, :] = 1.0, 0.0
-        self.W[0, :] = self.W[-1, :] = self.W[:, 0] = self.W[:, -1] = 0.0
+            T = np.array(init[0], dtype=float)
+            W = np.array(init[1], dtype=float)
+        T[0, :], T[-1, :] = 1.0, 0.0
+        W[0, :] = W[-1, :] = W[:, 0] = W[:, -1] = 0.0
+        self.line = problem.rho * tau == 0.0 and not W.any() and bool((T == T[:, :1]).all())
+        if self.line:
+            T, W = T[:, :1].copy(), np.zeros((g.nx, 1))
+        self.T, self.W = T, W
+        self.ops = _operators_for(g, self.line)
         self.active_set = problem.reaction.kind == STEP_LINEAR and tau > 0.0
         self.mask_history: list[bytes] = []
         self.mask_frozen = False
@@ -359,11 +416,6 @@ class _PicardState:
         self.last_A = None
         self.last_B_rhs = None
         self._lu_cache: dict = {}
-
-    def set_default_profile(self, c: float):
-        g = self.problem.grid
-        self.T = np.broadcast_to(linear_profile(c, g.a, g.x)[:, None], g.shape).copy()
-        self.mask = self.problem.reaction.ignited(self.T)
 
     def update_mask(self):
         if not self.active_set or self.mask_frozen:
@@ -387,15 +439,15 @@ class _PicardState:
     def temperature_operator(self, c: float):
         """-LAP_T - c DX + tau skew_T under the frozen flow; returns (A, v, w).
 
-        The velocity (v, w) is None while the vorticity is decoupled.
+        A is a _SplitOperator; the velocity (v, w) is None while the
+        vorticity is decoupled.
         """
         ops = self.ops
-        A = -ops.LAP_T - c * ops.DX
         if self.decoupled:
-            return A.tocsr(), None, None
+            return ops.temperature(c), None, None
         flow = velocity_from_vorticity(ScalarField(self.problem.grid, self.W, vorticity_bc()))
         v, w = flow.v.values, flow.w.values
-        return (A + self.tau * ops.skew_T(v, w)).tocsr(), v, w
+        return ops.temperature(c, self.tau * ops.skew_T(v, w)), v, w
 
     def solve_vorticity(self, T: np.ndarray, c: float, v, w):
         """Exact solve of the vorticity equation forced by the buoyancy of T.
@@ -431,11 +483,13 @@ class _PicardState:
         if self.active_set:
             amp = f.amplitude
             m = self.mask.ravel().astype(float)
-            A = (A + tau * amp * sp.diags(m)).tocsr()
+            A = A.shifted(tau * amp * m)
             f_rhs = tau * amp * m
         else:
             f_rhs = tau * f(self.T).ravel()
-        rhs = f_rhs[uT] - (A[uT][:, kT] @ self.tb[kT])
+        A = A.merged()
+        # the known columns carry T's pinned end values
+        rhs = f_rhs[uT] - (A[uT][:, kT] @ self.T.ravel()[kT])
 
         # a decoupled operator changes only with c and the ignition mask
         key = (c, self.mask.tobytes() if self.active_set else None)
@@ -458,14 +512,22 @@ class _PicardState:
         return dT, dW
 
     def finish(self, c: float, iterations: int) -> FrontSolution:
+        """The stage's solution as full-grid fields the caller owns."""
         p, g = self.problem, self.problem.grid
         ops, tau, f = self.ops, self.tau, p.reaction
         uT, uW = ops.unknownT, ops.unknownW
-        T_field = ScalarField(g, self.T, temperature_bc())
-        omega_field = ScalarField(g, self.W, vorticity_bc())
-        flow = velocity_from_vorticity(omega_field)
+        T, W = self.T, self.W
+        if self.line:
+            T, W = np.repeat(T, g.nz, axis=1), np.zeros(g.shape)
+        T_field = ScalarField(g, T, temperature_bc())
+        omega_field = ScalarField(g, W, vorticity_bc())
+        if W.any():
+            flow = velocity_from_vorticity(omega_field)
+        else:  # psi = 0 solves the Poisson problem of omega = 0
+            psi = ScalarField(g, np.zeros(g.shape), vorticity_bc())
+            flow = flow_from_streamfunction(omega_field, psi)
 
-        res_T = self.last_A[uT] @ self.T.ravel() - tau * f(self.T).ravel()[uT]
+        res_T = (self.last_A @ self.T.ravel())[uT] - tau * f(self.T).ravel()[uT]
         residual_T = float(np.abs(res_T).max() * g.hx * g.hz)
         if self.last_B_rhs is None:
             residual_omega = 0.0
@@ -505,9 +567,7 @@ def solve_steady(
     if not 0.0 <= tau <= 1.0:
         raise ConfigurationError("tau must lie in [0, 1]")
     cfg = problem.continuation
-    st = _PicardState(problem, tau, init)
-    if init is None:
-        st.set_default_profile(c)
+    st = _PicardState(problem, tau, init, c)
     gamma = 1.0 if tau == 0.0 else PICARD_DAMPING
     history = []
     for it in range(1, cfg.max_inner + 1):
@@ -518,6 +578,19 @@ def solve_steady(
         f"Picard stalled at tau={tau:g}, c={c:g}: update {history[-1]:.3e}",
         residual_history=history,
     )
+
+
+def _newton_system(ops: _Operators, A: _SplitOperator, T: np.ndarray, tau: float, f_val, f_der):
+    """(F, dF/dc, J) of the temperature equation A T - tau f = 0 at flat T.
+
+    F and the border column dF/dc = -DX T are restricted to the unknowns;
+    the Jacobian J = A - tau diag(f') is returned whole, as a
+    _SplitOperator.
+    """
+    uT = ops.unknownT
+    F = (A @ T - tau * f_val)[uT]
+    dFdc = (-(ops.DX @ T))[uT]
+    return F, dFdc, A.shifted(-tau * f_der)
 
 
 def solve_steady_pinned(
@@ -542,16 +615,9 @@ def solve_steady_pinned(
     g = problem.grid
     f = problem.reaction
     theta0 = f.theta0
-    st = _PicardState(problem, tau, init)
-    uT = st.ops.unknownT
-    if init is None:
-        st.set_default_profile(c_init)
-
+    st = _PicardState(problem, tau, init, c_init)
+    uT, right_half = st.ops.unknownT, st.ops.right_half
     res_tol = cfg.c_tol * (0.05 * g.a * theta0 * (1.0 - theta0))
-    xmask = np.zeros(g.shape, dtype=bool)
-    xmask[1:-1, :] = True
-    xmask[g.x < -1e-12, :] = False
-    flat_region = np.flatnonzero(xmask.ravel())
 
     c = c_init
     history = []
@@ -566,13 +632,12 @@ def solve_steady_pinned(
         else:
             f_val = f(st.T).ravel()
             f_der = f.derivative(st.T).ravel()
-        F = (A_lin @ Tflat - tau * f_val)[uT]
-        dFdc = (-(st.ops.DX @ Tflat))[uT]
+        F, dFdc, J = _newton_system(st.ops, A_lin, Tflat, tau, f_val, f_der)
 
-        i_star = flat_region[np.argmax(Tflat[flat_region])]
+        i_star = right_half[np.argmax(Tflat[right_half])]
         res = float(Tflat[i_star] - theta0)
 
-        J_uu = (A_lin - tau * sp.diags(f_der))[uT][:, uT]
+        J_uu = J.merged()[uT][:, uT]
         local = int(np.searchsorted(uT, i_star))
         n = uT.size
         col = sp.csc_matrix(dFdc.reshape(-1, 1))
@@ -594,7 +659,7 @@ def solve_steady_pinned(
 
         st.W, dW = st.solve_vorticity(st.T, c, v, w)
         history.append(max(dT, dW, abs(dc)))
-        res_now = float(st.T.ravel()[flat_region].max() - theta0)
+        res_now = float(st.T.ravel()[right_half].max() - theta0)
         # the ignition set used to build the last solve must agree with
         # the set implied by its own output, else keep iterating
         mask_consistent = (not st.active_set) or bool(
@@ -638,25 +703,20 @@ def _continue(stage, params: list, c: float, init, trace: list) -> FrontSolution
 def find_front(problem: FrontProblem) -> FrontSolution:
     """Planar front by continuation in tau, then coupling by continuation in rho.
 
-    The tau homotopy runs at rho = 0, on a strip of PLANAR_NZ z-nodes when
-    the grid has at least twice that many.  Its front is constant in z, so
-    its broadcast with omega = 0 solves the full-grid equations at rho = 0;
-    from there pinned stages at tau = 1 step rho up to problem.rho.  Below
-    the size rule the tau homotopy runs on the problem's own grid, and at
-    rho = 0 its front is the answer.
+    The tau homotopy runs at rho = 0 from the z-constant linear profile,
+    so every stage of it solves on the x-line and returns its broadcast
+    over z.  From that front with omega = 0, pinned stages at tau = 1
+    step rho up to problem.rho on the full grid; at rho = 0 the planar
+    front is the answer.
 
     The returned trace holds one (tau, c, normalization residual) per
     converged stage: trace[0] is the tau = 0 stage at c0, then the tau
     stages, then the rho stages, each recorded at tau = 1.
     """
     cfg = problem.continuation
-    g = problem.grid
-    thin = g.nz >= 2 * PLANAR_NZ
-    planar = replace(
-        problem, rho=0.0, grid=StripGrid(g.a, g.lam, g.nx, PLANAR_NZ) if thin else g
-    )
+    planar = replace(problem, rho=0.0)
 
-    c0 = tau0_speed(problem.reaction.theta0, g.a)
+    c0 = tau0_speed(problem.reaction.theta0, problem.grid.a)
     sol = solve_steady(planar, c0, 0.0, init=None)
     trace = [(0.0, c0, sol.normalization_residual)]
     sol = _continue(
@@ -666,15 +726,14 @@ def find_front(problem: FrontProblem) -> FrontSolution:
         (sol.T.values, sol.omega.values),
         trace,
     )
-    if thin or problem.rho > 0.0:
-        planar_T = np.broadcast_to(sol.T.values[:, :1], g.shape)
+    if problem.rho > 0.0:
         sol = _continue(
             lambda rho, c, init: solve_steady_pinned(
                 replace(problem, rho=rho), 1.0, c, init=init
             ),
             [0.0, problem.rho],
             sol.c,
-            (planar_T, np.zeros(g.shape)),
+            (sol.T.values, sol.omega.values),
             trace,
         )
     if not sol.speed_in_bracket(problem):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as hst
 from scipy.sparse.linalg import splu
 
 from frontlab import front
@@ -210,9 +211,11 @@ def test_front_problem_validation():
     with pytest.raises(ConfigurationError):
         Continuation(tau_steps=0)
     for bad in (dict(max_inner=0), dict(c_tol=math.nan), dict(inner_tol=math.nan),
-                dict(c_tol=math.inf)):
+                dict(c_tol=math.inf), dict(tau_steps=math.nan), dict(tau_steps=2.5),
+                dict(max_inner=3.5), dict(max_inner=math.nan), dict(tau_steps=10.0)):
         with pytest.raises(ConfigurationError):
             Continuation(**bad)
+    assert Continuation(tau_steps=np.int64(3)).tau_steps == 3
 
 
 def test_sparse_operators_match_the_stencil_kernels():
@@ -256,7 +259,10 @@ def _slanted_problem(nx, nz, rho):
 
 
 def _record_pinned_stages(monkeypatch) -> list:
-    """(grid, rho, sweeps) of every pinned stage find_front runs, failed ones included."""
+    """(grid, rho, sweeps) of every pinned stage find_front runs, failed ones included.
+
+    Stages at rho = 0 are the planar ones, which solve on the x-line.
+    """
     stages = []
     pinned = front.solve_steady_pinned
 
@@ -277,7 +283,7 @@ def _record_pinned_stages(monkeypatch) -> list:
 def test_slanted_front_speed_and_pinned_sweeps(monkeypatch, rho, c_before):
     # c_before was computed with a 0.85-relaxed vorticity refresh,
     # COLAMD-ordered factorizations and every tau stage on the full grid
-    # at rho; the planar homotopy on the thin strip followed by the rho
+    # at rho; the planar homotopy on the x-line followed by the rho
     # continuation must land on the same front
     p = _slanted_problem(129, 17, rho)
     stages = _record_pinned_stages(monkeypatch)
@@ -286,11 +292,10 @@ def test_slanted_front_speed_and_pinned_sweeps(monkeypatch, rho, c_before):
     assert sol.speed_in_bracket(p)
     assert check_steady_identity(sol, p.reaction) <= 1e-2
     assert abs(sol.c - c_before) <= 1e-6
-    strip = make_grid(p.grid.a, p.grid.lam, p.grid.nx, front.PLANAR_NZ)
-    planar = [(grid, r) for grid, r, _ in stages if grid != p.grid]
-    assert planar == [(strip, 0.0)] * p.continuation.tau_steps
+    planar = [(grid, r) for grid, r, _ in stages if r == 0.0]
+    assert planar == [(p.grid, 0.0)] * p.continuation.tau_steps
     # the full-grid tau homotopy took 58 (rho = 0.3) and 175 (rho = 30) sweeps
-    full_sweeps = sum(n for grid, _, n in stages if grid == p.grid)
+    full_sweeps = sum(n for _, r, n in stages if r > 0.0)
     assert full_sweeps <= {0.3: 10, 30.0: 45}[rho]
 
 
@@ -307,10 +312,10 @@ def test_front_lu_matches_plain_splu_and_is_stateless(monkeypatch):
     stages = _record_pinned_stages(monkeypatch)
     sol = find_front(p)
     # one LU at tau = 0 (reused at its fixed speed) and one bordered (T, c)
-    # LU per planar sweep; then per full-grid sweep a bordered and a
-    # vorticity LU
-    planar = sum(n for grid, _, n in stages if grid != p.grid)
-    full = sum(n for grid, _, n in stages if grid == p.grid)
+    # LU per planar sweep, all on the x-line; then per full-grid sweep a
+    # bordered and a vorticity LU
+    planar = sum(n for _, r, n in stages if r == 0.0)
+    full = sum(n for _, r, n in stages if r > 0.0)
     assert len(factorizations) == 1 + planar + 2 * full
     # no factorization depends on an earlier one: the same problem solved
     # again in the same process gives the same front bit for bit, and the
@@ -340,16 +345,16 @@ def test_front_lu_matches_plain_splu_and_is_stateless(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["quad_ignition", "step_linear"])
 def test_planar_reduction_is_exact(monkeypatch, kind):
-    # at rho = 0 the front is constant in z, so the thin strip's front,
-    # broadcast over z, solves the full grid's equations: both sides of
-    # the size rule give one speed, and the full-grid stage only confirms it
+    # at rho = 0 the front is constant in z, so the x-line's front,
+    # broadcast over z, solves the full grid's equations: every nz gives
+    # one speed, and no stage runs on the full grid
     stages = _record_pinned_stages(monkeypatch)
-    own_grid = find_front(_problem(nx=65, nz=9, kind=kind)).c  # below the rule
+    narrow = find_front(_problem(nx=65, nz=9, kind=kind)).c
     for nz in (17, 33):
         p = _problem(nx=65, nz=nz, kind=kind)
         stages.clear()
-        assert abs(find_front(p).c - own_grid) <= 1e-10
-        assert [(grid, n) for grid, _, n in stages if grid == p.grid] == [(p.grid, 1)]
+        assert abs(find_front(p).c - narrow) <= 1e-10
+        assert stages and all(r == 0.0 for _, r, _ in stages)
 
 
 def test_rho_continuation_inserts_midpoints(monkeypatch):
@@ -360,7 +365,7 @@ def test_rho_continuation_inserts_midpoints(monkeypatch):
 
     def failing(times):
         def stage(problem, *args, **kwargs):
-            if problem.grid == p.grid:
+            if problem.rho > 0.0:
                 full_rhos.append(problem.rho)
                 if len(full_rhos) <= times:
                     raise NonConvergenceError("forced", residual_history=[1.0])
@@ -383,3 +388,87 @@ def test_rho_continuation_inserts_midpoints(monkeypatch):
     with pytest.raises(NonConvergenceError):
         find_front(p)
     assert full_rhos == [p.rho / 2**k for k in range(5)]
+
+
+# A z-constant temperature in [0, 1], kept out of the subnormal range so
+# that the z-Laplacian's row sums (-p + 2p - p) are exact
+_planar_values = hst.floats(0.0, 1.0, allow_subnormal=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=hst.integers(9, 40),
+    nz=hst.integers(8, 20),
+    a=hst.floats(1.0, 40.0),
+    lam=hst.floats(0.5, 4.0),
+    kind=hst.sampled_from(["quad_ignition", "step_linear"]),
+    c=hst.floats(-5.0, 5.0),
+    tau=hst.floats(0.0, 1.0),
+    data=hst.data(),
+)
+def test_line_system_is_the_planar_full_grid_system(nx, nz, a, lam, kind, c, tau, data):
+    # on z-constant data without flow the full-grid Newton system is the
+    # broadcast of the x-line's, bit for bit: residual, border column and
+    # the Jacobian applied term by term
+    g = make_grid(a, lam, nx, nz)
+    r = ReactionModel(kind, 0.25)
+    line = data.draw(hst.lists(_planar_values, min_size=nx, max_size=nx))
+    step = data.draw(hst.lists(_planar_values, min_size=nx, max_size=nx))
+    T_line = np.array(line)[:, None]
+    u_line = np.array(step)[:, None]
+    u_line[[0, -1]] = 0.0  # J_uu acts on the unknowns only
+
+    def system(ops, T, u):
+        A = ops.temperature(c)
+        F, col, J = front._newton_system(ops, A, T.ravel(), tau, r(T).ravel(),
+                                         r.derivative(T).ravel())
+        return F, col, (J @ u.ravel())[ops.unknownT]
+
+    on_line = system(front._Operators(g, line=True), T_line, u_line)
+    on_grid = system(front._Operators(g), np.repeat(T_line, nz, axis=1),
+                     np.repeat(u_line, nz, axis=1))
+    for got, ref in zip(on_grid, on_line):
+        assert np.array_equal(got.reshape(nx - 2, nz),
+                              np.broadcast_to(ref[:, None], (nx - 2, nz)))
+
+
+# c of the parent code's 2D planar homotopy on 65 x nz (a = 20, lam = 2)
+_SPEEDS_2D = {
+    "quad_ignition": {9: 0.6537353880570753, 17: 0.6537353880570613, 33: 0.6537353880570854},
+    "step_linear": {9: 1.024442192132352, 17: 1.0244421921323406, 33: 1.024442192132333},
+}
+
+
+@pytest.mark.parametrize("kind", ["quad_ignition", "step_linear"])
+def test_line_path_keeps_the_2d_speeds(kind):
+    for nz, c_2d in _SPEEDS_2D[kind].items():
+        sol = find_front(_problem(nx=65, nz=nz, kind=kind))
+        assert abs(sol.c - c_2d) <= 1e-10
+        T = sol.T.values
+        assert T.shape == (65, nz) and np.array_equal(T, np.broadcast_to(T[:, :1], T.shape))
+
+
+def test_decoupled_finish_returns_zero_flow_and_owned_fields(monkeypatch):
+    def no_poisson(omega):
+        raise AssertionError("a decoupled stage needs no velocity solve")
+
+    monkeypatch.setattr(front, "velocity_from_vorticity", no_poisson)
+    on_line = []
+    operators_for = front._operators_for
+    monkeypatch.setattr(front, "_operators_for",
+                        lambda grid, line=False: on_line.append(line) or operators_for(grid, line))
+    p = _problem(nx=65, nz=9, kind="quad_ignition")
+    sols = [find_front(p)]
+    assert on_line and all(on_line)
+    # a T that varies along z is solved on the full grid, with omega = 0 too
+    T0 = np.repeat(linear_profile(0.5, p.grid.a, p.grid.x)[:, None], p.grid.nz, axis=1)
+    T0[1:-1, 0] *= 0.9
+    sols.append(solve_steady(p, 0.5, 0.0, init=(T0, np.zeros(p.grid.shape))))
+    assert on_line[-1] is False
+    for sol in sols:
+        flow = sol.flow
+        for field in (sol.omega, flow.omega, flow.psi, flow.v, flow.w):
+            assert field.values.shape == p.grid.shape and not field.values.any()
+        assert flow.u_sup() == 0.0
+        for field in (sol.T, sol.omega):
+            assert field.values.flags.owndata and field.values.flags.writeable
