@@ -27,8 +27,8 @@ from .front import (
     find_front,
     front_residual,
     linear_profile,
-    solve_steady,
     solve_steady_pinned,
+    tau0_profile,
     tau0_speed,
 )
 from .grid import (

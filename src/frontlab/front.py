@@ -4,9 +4,11 @@ The speed is pinned by the normalization max_{x>=0} T = theta0.
 find_front runs two natural-parameter continuations, each stage
 warm-started from the previous one:
 
-1. The planar front.  A homotopy parameter tau ramps from the
-   closed-form linear problem at tau = 0 (no advection, no reaction) to
-   the reaction-diffusion front at tau = 1, all at rho = 0.
+1. The planar front.  A homotopy parameter tau ramps from the linear
+   problem at tau = 0 (no advection, no reaction) to the
+   reaction-diffusion front at tau = 1, all at rho = 0.  The tau = 0
+   stage is one linear solve on the x-line (tau0_profile) at the speed
+   tau0_speed that pins the continuous ramp.
 2. The coupled front.  From the planar front with omega = 0, pinned
    stages at tau = 1 on the full grid continue in the Rayleigh number up
    to problem.rho.
@@ -38,9 +40,6 @@ unknown, no slope of the residual in c is estimated.  The discontinuous
 step_linear reaction is handled by active-set linearization: the
 ignition mask enters the operator and each solve is exact on its
 branch, so the iteration can settle bit-exactly instead of chattering.
-Picard sweeps at fixed speed (solve_steady), relaxed by PICARD_DAMPING
-at tau > 0, serve the tau = 0 stage and fixed-c solves only.  Both
-iterations share _PicardState's operator and vorticity assembly.
 
 All these systems share the 5-point pattern of their grid, so every
 sparse LU (_factor) reuses one symmetric minimum-degree order per block
@@ -115,15 +114,31 @@ def tau0_speed(theta0: float, a: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def tau0_profile(grid: StripGrid, c: float) -> np.ndarray:
+    """The tau = 0 stage: the discrete linear problem at speed c.
+
+    -T'' - c T' = 0 with T(-a) = 1, T(a) = 0 has no reaction and no flow,
+    so it is solved once on the x-line, clipped to [0, 1] and broadcast
+    over z into an array the caller owns.
+    """
+    ops = _operators_for(grid, True)
+    uT, kT = ops.unknownT, ops.knownT
+    A = ops.temperature(c).merged()
+    T = np.zeros((grid.nx, 1))
+    T[0] = 1.0
+    # the known columns carry the pinned end values
+    rhs = -(A[uT][:, kT] @ T.ravel()[kT])
+    T.ravel()[uT] = _factor(A[uT][:, uT], ops.order_T).solve(rhs)
+    np.clip(T, 0.0, 1.0, out=T)
+    return np.repeat(T, grid.nz, axis=1)
+
+
 def front_residual(T: ScalarField, theta0: float) -> float:
     """(max of T over nodes with x >= 0) - theta0."""
     keep = T.grid.x >= -1e-12
     return float(T.values[keep, :].max() - theta0)
 
 
-# relaxation of solve_steady's fixed-speed sweeps at tau > 0; the pinned
-# Newton of the continuation refreshes the vorticity undamped
-PICARD_DAMPING = 0.85
 # midpoints one continuation inserts before a failing stage raises
 MAX_HALVINGS = 4
 
@@ -173,9 +188,9 @@ class FrontSolution:
     """A converged stage; iterations counts its sweeps.
 
     find_front fills trace with one (tau, c, normalization residual) per
-    converged stage: trace[0] is the tau = 0 stage at its closed-form
-    speed, then come the tau stages of the planar front and the rho
-    stages of the coupled one, the latter recorded at tau = 1.
+    converged stage: trace[0] is the tau = 0 profile (tau0_profile) at
+    its closed-form speed, then come the tau stages of the planar front
+    and the rho stages of the coupled one, the latter recorded at tau = 1.
     """
 
     c: float
@@ -384,8 +399,16 @@ def _factor(matrix: sp.spmatrix, order: np.ndarray) -> _OrderedLU:
     return _OrderedLU(lu, order)
 
 
-class _PicardState:
-    """Shared machinery for one (tau, problem) inner iteration.
+def _flow_of(grid: StripGrid, W: np.ndarray) -> FlowState:
+    """The flow of the vorticity W; psi = 0 solves the Poisson problem of W = 0."""
+    omega = ScalarField(grid, W, vorticity_bc())
+    if W.any():
+        return velocity_from_vorticity(omega)
+    return flow_from_streamfunction(omega, ScalarField(grid, np.zeros(grid.shape), vorticity_bc()))
+
+
+class _StageState:
+    """The iterate of one pinned (tau, problem) stage and its assembly.
 
     Without init, T starts from the linear profile at speed c.  Planar
     data (rho * tau = 0, omega = 0, T constant along z) are solved on the
@@ -409,13 +432,12 @@ class _PicardState:
             T, W = T[:, :1].copy(), np.zeros((g.nx, 1))
         self.T, self.W = T, W
         self.ops = _operators_for(g, self.line)
-        self.active_set = problem.reaction.kind == STEP_LINEAR and tau > 0.0
+        self.active_set = problem.reaction.kind == STEP_LINEAR
         self.mask_history: list[bytes] = []
         self.mask_frozen = False
         self.mask = problem.reaction.ignited(self.T)
         self.last_A = None
         self.last_B_rhs = None
-        self._lu_cache: dict = {}
 
     def update_mask(self):
         if not self.active_set or self.mask_frozen:
@@ -445,7 +467,7 @@ class _PicardState:
         ops = self.ops
         if self.decoupled:
             return ops.temperature(c), None, None
-        flow = velocity_from_vorticity(ScalarField(self.problem.grid, self.W, vorticity_bc()))
+        flow = _flow_of(self.problem.grid, self.W)
         v, w = flow.v.values, flow.w.values
         return ops.temperature(c, self.tau * ops.skew_T(v, w)), v, w
 
@@ -472,45 +494,6 @@ class _PicardState:
         self.last_B_rhs = (B, rhs_W)
         return W_new, float(np.abs(W_new - self.W).max()) / scale_w
 
-    def sweep(self, c: float, gamma: float) -> tuple[float, float]:
-        """One Picard sweep at speed c relaxed by gamma; returns (dT, dW)."""
-        ops, tau, f = self.ops, self.tau, self.problem.reaction
-        uT, kT = ops.unknownT, ops.knownT
-
-        A, v, w = self.temperature_operator(c)
-        # finish subtracts tau f(T), so the stored operator has no mask term
-        self.last_A = A
-        if self.active_set:
-            amp = f.amplitude
-            m = self.mask.ravel().astype(float)
-            A = A.shifted(tau * amp * m)
-            f_rhs = tau * amp * m
-        else:
-            f_rhs = tau * f(self.T).ravel()
-        A = A.merged()
-        # the known columns carry T's pinned end values
-        rhs = f_rhs[uT] - (A[uT][:, kT] @ self.T.ravel()[kT])
-
-        # a decoupled operator changes only with c and the ignition mask
-        key = (c, self.mask.tobytes() if self.active_set else None)
-        lu = self._lu_cache.get(key) if self.decoupled else None
-        if lu is None:
-            lu = _factor(A[uT][:, uT], ops.order_T)
-            if self.decoupled:
-                self._lu_cache = {key: lu}
-
-        T_new = self.T.copy()
-        T_new.ravel()[uT] = lu.solve(rhs)
-        np.clip(T_new, 0.0, 1.0, out=T_new)
-        dT = float(np.abs(T_new - self.T).max())
-
-        # the forcing comes from the undamped T_new
-        W_new, dW = self.solve_vorticity(T_new, c, v, w)
-        self.T = self.T + gamma * (T_new - self.T)
-        self.W = self.W + gamma * (W_new - self.W)
-        self.update_mask()
-        return dT, dW
-
     def finish(self, c: float, iterations: int) -> FrontSolution:
         """The stage's solution as full-grid fields the caller owns."""
         p, g = self.problem, self.problem.grid
@@ -520,12 +503,7 @@ class _PicardState:
         if self.line:
             T, W = np.repeat(T, g.nz, axis=1), np.zeros(g.shape)
         T_field = ScalarField(g, T, temperature_bc())
-        omega_field = ScalarField(g, W, vorticity_bc())
-        if W.any():
-            flow = velocity_from_vorticity(omega_field)
-        else:  # psi = 0 solves the Poisson problem of omega = 0
-            psi = ScalarField(g, np.zeros(g.shape), vorticity_bc())
-            flow = flow_from_streamfunction(omega_field, psi)
+        flow = _flow_of(g, W)
 
         res_T = (self.last_A @ self.T.ravel())[uT] - tau * f(self.T).ravel()[uT]
         residual_T = float(np.abs(res_T).max() * g.hx * g.hz)
@@ -539,7 +517,7 @@ class _PicardState:
         return FrontSolution(
             c=c,
             T=T_field,
-            omega=omega_field,
+            omega=flow.omega,
             flow=flow,
             tau=tau,
             residual_T=residual_T,
@@ -547,37 +525,6 @@ class _PicardState:
             normalization_residual=front_residual(T_field, f.theta0),
             iterations=iterations,
         )
-
-
-def solve_steady(
-    problem: FrontProblem,
-    c: float,
-    tau: float,
-    init: tuple[np.ndarray, np.ndarray] | None = None,
-) -> FrontSolution:
-    """Damped Picard iteration at fixed speed c.
-
-    Converges fast away from pinned fronts (tau = 0, blown-out profiles,
-    or transverse relaxation from a good initial guess).  Driving the
-    normalization residual to zero additionally requires the speed
-    correction of solve_steady_pinned; a fixed-c iteration relaxes the
-    translation mode only at the exponentially slow boundary-pinning
-    rate.
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigurationError("tau must lie in [0, 1]")
-    cfg = problem.continuation
-    st = _PicardState(problem, tau, init, c)
-    gamma = 1.0 if tau == 0.0 else PICARD_DAMPING
-    history = []
-    for it in range(1, cfg.max_inner + 1):
-        history.append(max(st.sweep(c, gamma)))
-        if history[-1] < cfg.inner_tol:
-            return st.finish(c, it)
-    raise NonConvergenceError(
-        f"Picard stalled at tau={tau:g}, c={c:g}: update {history[-1]:.3e}",
-        residual_history=history,
-    )
 
 
 def _newton_system(ops: _Operators, A: _SplitOperator, T: np.ndarray, tau: float, f_val, f_der):
@@ -615,7 +562,7 @@ def solve_steady_pinned(
     g = problem.grid
     f = problem.reaction
     theta0 = f.theta0
-    st = _PicardState(problem, tau, init, c_init)
+    st = _StageState(problem, tau, init, c_init)
     uT, right_half = st.ops.unknownT, st.ops.right_half
     res_tol = cfg.c_tol * (0.05 * g.a * theta0 * (1.0 - theta0))
 
@@ -703,27 +650,28 @@ def _continue(stage, params: list, c: float, init, trace: list) -> FrontSolution
 def find_front(problem: FrontProblem) -> FrontSolution:
     """Planar front by continuation in tau, then coupling by continuation in rho.
 
-    The tau homotopy runs at rho = 0 from the z-constant linear profile,
-    so every stage of it solves on the x-line and returns its broadcast
-    over z.  From that front with omega = 0, pinned stages at tau = 1
-    step rho up to problem.rho on the full grid; at rho = 0 the planar
-    front is the answer.
+    The tau homotopy runs at rho = 0 from tau0_profile at c0 =
+    tau0_speed, so every stage of it solves on the x-line and returns its
+    broadcast over z.  From that front with omega = 0, pinned stages at
+    tau = 1 step rho up to problem.rho on the full grid; at rho = 0 the
+    planar front is the answer.
 
     The returned trace holds one (tau, c, normalization residual) per
-    converged stage: trace[0] is the tau = 0 stage at c0, then the tau
+    converged stage: trace[0] is the tau = 0 profile at c0, then the tau
     stages, then the rho stages, each recorded at tau = 1.
     """
     cfg = problem.continuation
     planar = replace(problem, rho=0.0)
 
-    c0 = tau0_speed(problem.reaction.theta0, problem.grid.a)
-    sol = solve_steady(planar, c0, 0.0, init=None)
-    trace = [(0.0, c0, sol.normalization_residual)]
+    g, theta0 = problem.grid, problem.reaction.theta0
+    c0 = tau0_speed(theta0, g.a)
+    T0 = tau0_profile(g, c0)
+    trace = [(0.0, c0, front_residual(ScalarField(g, T0, temperature_bc()), theta0))]
     sol = _continue(
         lambda tau, c, init: solve_steady_pinned(planar, tau, c, init=init),
         list(np.linspace(0.0, 1.0, cfg.tau_steps + 1)),
-        sol.c,
-        (sol.T.values, sol.omega.values),
+        c0,
+        (T0, np.zeros(g.shape)),
         trace,
     )
     if problem.rho > 0.0:
