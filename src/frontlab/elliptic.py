@@ -7,6 +7,14 @@ Fourier modes under a periodic x (nx distinct nodes, period nx*hx).
 Solves are therefore exact relative to the stencils, up to transform
 round-off.
 
+The wall-normal (z) axis is short, so its transform is a dense matrix
+product: each plan applies scipy's own type-1 DCT/DST to the identity
+once and multiplies by the result, which keeps one definition of the
+transform and costs one BLAS call per pass.  The x-axis, long in every
+use, goes through scipy's FFTs.  A plan runs z first on the way in and x
+first on the way out, and keeps 1/(1 - s*mu) for the diffusion numbers s
+it has recently seen.
+
 Inhomogeneous Dirichlet data in x (temperature fields) must be lifted to
 homogeneous form first; linear_lift does that.
 """
@@ -32,8 +40,8 @@ from .grid import (
 SINE = "sine"
 COSINE = "cosine"
 _AXIS_KINDS = {DIRICHLET: SINE, NEUMANN: COSINE, PERIODIC: PERIODIC}
-_FORWARD = {SINE: partial(dst, type=1), COSINE: partial(dct, type=1), PERIODIC: rfft}
-_INVERSE = {SINE: partial(idst, type=1), COSINE: partial(idct, type=1)}
+_TRANSFORMS = {SINE: (dst, idst), COSINE: (dct, idct)}
+_RECIPROCALS_KEPT = 4  # 1/(1 - s*mu) arrays per plan; the oldest s is dropped first
 
 
 def _mode_eigenvalues(n: int, h: float, kind: str) -> np.ndarray:
@@ -46,13 +54,32 @@ def _mode_eigenvalues(n: int, h: float, kind: str) -> np.ndarray:
     return -(4.0 / h**2) * np.sin(np.pi * k / period) ** 2
 
 
+def _z_matrices(nz: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, inverse) type-1 transforms along z as right factors.
+
+    a @ forward equals scipy's dct/dst(a, type=1, axis=1) because the
+    matrices are those transforms applied to the identity.
+    """
+    forward, inverse = _TRANSFORMS[kind]
+    eye = np.eye(nz - 2 if kind == SINE else nz)
+    return forward(eye, type=1, axis=1), inverse(eye, type=1, axis=1)
+
+
 class EllipticPlan:
-    """Immutable transform plan for one (grid, bc) pair.
+    """Transform plan for one (grid, bc) pair.
 
     Dirichlet directions transform the interior nodes with DST-I; Neumann
     directions transform all nodes with DCT-I; a periodic x transforms
     all nodes with the real FFT.  Dirichlet boundary values are treated
     as homogeneous; callers lift inhomogeneities.
+
+    The z-pass is one product with a small cached matrix (nz x nz, or
+    (nz-2) x (nz-2) for DST-I), which beats an FFT on the short z-axis.
+    Transforms run z first on the way in and x first on the way out, so
+    a periodic plan hands rfft/irfft real z-spectra and no complex array
+    ever meets a DCT.  The plan keeps 1/(1 - s*mu) for the last few s
+    it solved with, which both Helmholtz solves share; that memo is the
+    plan's only mutable state and never changes a result.
     """
 
     def __init__(self, grid: StripGrid, bc: BoundaryKind):
@@ -67,47 +94,63 @@ class EllipticPlan:
         self.eigenvalues = mux[:, None] + muz[None, :]
         self._xsl = slice(1, -1) if self.x_kind == SINE else slice(None)
         self._zsl = slice(1, -1) if self.z_kind == SINE else slice(None)
+        self._has_dirichlet = SINE in (self.x_kind, self.z_kind)
+        if self.x_kind == PERIODIC:
+            self._x_forward, self._x_inverse = rfft, partial(irfft, n=grid.nx)
+        else:
+            forward, inverse = _TRANSFORMS[self.x_kind]
+            self._x_forward, self._x_inverse = partial(forward, type=1), partial(inverse, type=1)
+        self._z_forward, self._z_inverse = _z_matrices(grid.nz, self.z_kind)
+        self._reciprocals: dict[float, np.ndarray] = {}
 
     @property
     def has_zero_mode(self) -> bool:
         return self.x_kind != SINE and self.z_kind == COSINE
 
     def _forward(self, a: np.ndarray) -> np.ndarray:
-        # the first pass reads the caller's array; the second owns its input
-        first = _FORWARD[self.x_kind](a, axis=0)
-        return _FORWARD[self.z_kind](first, axis=1, overwrite_x=True)
+        # the product is a fresh array, so the x-pass may overwrite it
+        return self._x_forward(a @ self._z_forward, axis=0, overwrite_x=True)
 
     def _inverse(self, a: np.ndarray) -> np.ndarray:
         """Inverse transforms; a is a spectrum the plan owns and may overwrite."""
-        if self.x_kind == PERIODIC:
-            # irfft takes the complex x-spectrum, so z is undone first
-            zpass = _INVERSE[self.z_kind](a, axis=1, overwrite_x=True)
-            return irfft(zpass, n=self.grid.nx, axis=0, overwrite_x=True)
-        xpass = _INVERSE[self.x_kind](a, axis=0, overwrite_x=True)
-        return _INVERSE[self.z_kind](xpass, axis=1, overwrite_x=True)
+        return self._x_inverse(a, axis=0, overwrite_x=True) @ self._z_inverse
 
-    def _spectrum(self, rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
-        """Spectrum of u where denom(mu) * u_hat = rhs_hat on the plan's lattice."""
-        return self._forward(rhs[self._xsl, self._zsl]) / denom
+    def _unknowns(self, rhs: np.ndarray) -> np.ndarray:
+        return rhs[self._xsl, self._zsl]
+
+    def _helmholtz_spectrum(self, rhs: np.ndarray, s: float) -> np.ndarray:
+        """Spectrum of u where (I - s*lap) u = rhs on the plan's lattice."""
+        recip = self._reciprocals.get(s)
+        if recip is None:
+            if len(self._reciprocals) == _RECIPROCALS_KEPT:
+                del self._reciprocals[next(iter(self._reciprocals))]
+            recip = self._reciprocals[s] = 1.0 / (1.0 - s * self.eigenvalues)
+        spectrum = self._forward(self._unknowns(rhs))
+        spectrum *= recip
+        return spectrum
 
     def _field(self, spectrum: np.ndarray) -> np.ndarray:
         """Full-grid values of a spectrum, zero on the Dirichlet boundary."""
+        values = self._inverse(spectrum)
+        if not self._has_dirichlet:
+            return values
         out = np.zeros(self.grid.shape)
-        out[self._xsl, self._zsl] = self._inverse(spectrum)
+        out[self._xsl, self._zsl] = values
         return out
 
     def solve_poisson(self, rhs: ScalarField) -> ScalarField:
         if self.has_zero_mode:
             raise ConfigurationError("Poisson is singular for a plan with a constant mode")
-        u = self._field(self._spectrum(rhs.values, self.eigenvalues))
-        return ScalarField(self.grid, u, self.bc)
+        spectrum = self._forward(self._unknowns(rhs.values))
+        spectrum /= self.eigenvalues
+        return ScalarField(self.grid, self._field(spectrum), self.bc)
 
     def solve_helmholtz(self, rhs: ScalarField, s: float) -> ScalarField:
         if s < 0:
             raise ConfigurationError("anti-diffusion (s < 0) is not allowed")
         if s == 0.0:
             return ScalarField(self.grid, rhs.values.copy(), self.bc)
-        u = self._field(self._spectrum(rhs.values, 1.0 - s * self.eigenvalues))
+        u = self._field(self._helmholtz_spectrum(rhs.values, s))
         return ScalarField(self.grid, u, self.bc)
 
     def solve_helmholtz_streamfunction(
@@ -125,7 +168,7 @@ class EllipticPlan:
             raise ConfigurationError("Poisson is singular for a plan with a constant mode")
         if s < 0:
             raise ConfigurationError("anti-diffusion (s < 0) is not allowed")
-        omega_hat = self._spectrum(rhs.values, 1.0 - s * self.eigenvalues)
+        omega_hat = self._helmholtz_spectrum(rhs.values, s)
         psi_hat = omega_hat / self.eigenvalues
         np.negative(psi_hat, out=psi_hat)
         omega = ScalarField(self.grid, self._field(omega_hat), self.bc)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import dct, dst, idct, idst
 
 from frontlab.elliptic import (
+    _RECIPROCALS_KEPT,
+    EllipticPlan,
     helmholtz_solve,
     linear_lift,
     plan_for,
@@ -135,13 +138,61 @@ def test_poincare_all_neumann_rejected():
         poincare_mode_constant(all_neumann_bc(), g)
 
 
+_PLAN_BCS = (temperature_bc(0.0, 0.0), vorticity_bc(), all_neumann_bc(), periodic_bc())
+
+
 def test_transform_roundtrip():
-    g = make_grid(2.0, 1.0, 33, 17)
-    plan = plan_for(g, vorticity_bc())
     rng = np.random.default_rng(2)
-    a = rng.standard_normal((g.nx - 2, g.nz - 2))
-    back = plan._inverse(plan._forward(a))
-    assert np.abs(back - a).max() < 1e-12 * np.abs(a).max()
+    for shape in ((33, 17), (31, 8), (16, 9)):
+        g = make_grid(2.0, 1.0, *shape)
+        for bc in _PLAN_BCS:
+            plan = EllipticPlan(g, bc)
+            a = plan._unknowns(rng.standard_normal(g.shape)).copy()
+            back = plan._inverse(plan._forward(a))
+            assert back.shape == a.shape
+            assert np.abs(back - a).max() < 1e-12 * np.abs(a).max()
+
+
+@pytest.mark.parametrize("nz", [8, 17, 33, 65])
+def test_z_matrices_reproduce_scipy_type1_transforms(nz):
+    g = make_grid(2.0, 1.0, 21, nz)
+    rng = np.random.default_rng(nz)
+    for bc, forward, inverse in (
+        (vorticity_bc(), dst, idst),
+        (all_neumann_bc(), dct, idct),
+    ):
+        plan = EllipticPlan(g, bc)
+        a = plan._unknowns(rng.standard_normal(g.shape))
+        for matrix, transform in ((plan._z_forward, forward), (plan._z_inverse, inverse)):
+            ref = transform(a, type=1, axis=1)
+            assert np.abs(a @ matrix - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_reciprocal_memo_never_serves_a_stale_denominator():
+    g = make_grid(2.0, 1.0, 24, 9)
+    rhs = ScalarField(g, np.random.default_rng(5).standard_normal(g.shape))
+    periodic = EllipticPlan(g, periodic_bc())
+    walls = EllipticPlan(g, vorticity_bc())
+
+    def same_as_fresh(plan, s):
+        fresh = EllipticPlan(g, plan.bc)
+        assert np.array_equal(
+            plan.solve_helmholtz(rhs, s).values, fresh.solve_helmholtz(rhs, s).values
+        )
+
+    s1, s2, short = 0.02, 0.37, 0.02 * 0.25
+    for s in (s1, s2, s1, short, s1):
+        same_as_fresh(periodic, s)
+        same_as_fresh(walls, s)
+        omega, psi = walls.solve_helmholtz_streamfunction(rhs, s)
+        fresh_omega, fresh_psi = EllipticPlan(g, walls.bc).solve_helmholtz_streamfunction(rhs, s)
+        assert np.array_equal(omega.values, fresh_omega.values)
+        assert np.array_equal(psi.values, fresh_psi.values)
+        assert np.array_equal(omega.values, walls.solve_helmholtz(rhs, s).values)
+    for s in np.linspace(0.01, 1.0, 3 * _RECIPROCALS_KEPT):
+        periodic.solve_helmholtz(rhs, s)
+        assert len(periodic._reciprocals) <= _RECIPROCALS_KEPT
+    same_as_fresh(periodic, s1)  # s1 was evicted and is rebuilt
 
 
 def test_poisson_superposition():
@@ -175,7 +226,7 @@ def test_eigenvalue_signs_and_zero_modes():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    bc=st.sampled_from([temperature_bc(0.0, 0.0), vorticity_bc(), all_neumann_bc(), periodic_bc()]),
+    bc=st.sampled_from(_PLAN_BCS),
     nx=st.integers(8, 40),
     nz=st.integers(8, 24),
     s=st.floats(1e-4, 1e2),

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from frontlab.errors import ConfigurationError
+from frontlab.elliptic import EllipticPlan
+from frontlab.errors import BlowUpError, ConfigurationError
 from frontlab.grid import field_from_function, make_grid
 from frontlab.inequalities import (
     DecayExperiment,
@@ -127,3 +128,22 @@ def test_short_decay_regression_pin():
     assert decay_constant_sup(s, 1.0, 1.0) == pytest.approx(0.23583789657316856, rel=1e-12)
     assert s.linf[-1] == pytest.approx(0.10546991368163389, rel=1e-12)
     assert s.l2[-1] == pytest.approx(0.27619077552440885, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decay_blow_up_names_the_time(monkeypatch, bad):
+    solve = EllipticPlan.solve_helmholtz
+    calls = []
+
+    def poisoned(plan, rhs, s):
+        out = solve(plan, rhs, s)
+        calls.append(s)
+        if len(calls) == 3:
+            out.values[5, 3] = bad
+        return out
+
+    monkeypatch.setattr(EllipticPlan, "solve_helmholtz", poisoned)
+    exp = DecayExperiment(t_end=1.0, nx=16, nz=8, dt=0.125)
+    with pytest.raises(BlowUpError, match=r"t=0\.375\b"):
+        decay_experiment(exp)
+    assert len(calls) == 3
