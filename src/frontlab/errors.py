@@ -26,11 +26,16 @@ class BracketError(NumericalError):
 
 
 class NonConvergenceError(NumericalError):
-    """Fixed-point iteration exhausted its budget."""
+    """Fixed-point iteration exhausted its budget.
 
-    def __init__(self, msg, residual_history=None):
+    sweeps holds one record per iteration where the solver keeps them
+    (front.SweepRecord for the pinned front solver).
+    """
+
+    def __init__(self, msg, residual_history=None, sweeps=None):
         super().__init__(msg)
         self.residual_history = residual_history or []
+        self.sweeps = sweeps or []
 
 
 class BlowUpError(NumericalError):

@@ -41,10 +41,19 @@ step_linear reaction is handled by active-set linearization: the
 ignition mask enters the operator and each solve is exact on its
 branch, so the iteration can settle bit-exactly instead of chattering.
 
-All these systems share the 5-point pattern of their grid, so every
-sparse LU (_factor) reuses one symmetric minimum-degree order per block
-and grid (the x-line has its own), computed from the pattern alone: a
-factorization depends only on its matrix.
+Each sweep solves two linear systems, the bordered (T, c) step and the
+vorticity, by GMRES (_gmres) preconditioned with their operators
+stripped of the flow and of the z-variation of the reaction slope: a
+type-1 transform in z (DCT-I for T's Neumann walls, DST-I for omega, the
+ones elliptic defines) turns them into one tridiagonal x-solve per
+z-mode (_ModeSolve), and the border is added by its Schur complement
+(_bordered).  On planar data that preconditioner is the operator itself,
+so the x-line stages and tau0_profile solve it directly.  A block whose
+GMRES misses its cap (KRYLOV_MAX_ITER iterations to KRYLOV_RTOL) or
+returns a non-finite value is solved by sparse LU (_factor) instead, and
+stays on LU for the rest of its stage; every factorization of a grid
+and block reuses one symmetric minimum-degree order computed from the
+5-point pattern alone, so it depends only on its matrix.
 """
 
 from __future__ import annotations
@@ -56,8 +65,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import spilu, splu
 
+from .elliptic import COSINE, SINE, _mode_eigenvalues, _z_matrices
 from .errors import BracketError, ConfigurationError, NonConvergenceError
 from .flow import FlowState, GravityDir, flow_from_streamfunction, velocity_from_vorticity
 from .grid import (
@@ -118,17 +130,15 @@ def tau0_profile(grid: StripGrid, c: float) -> np.ndarray:
     """The tau = 0 stage: the discrete linear problem at speed c.
 
     -T'' - c T' = 0 with T(-a) = 1, T(a) = 0 has no reaction and no flow,
-    so it is solved once on the x-line, clipped to [0, 1] and broadcast
-    over z into an array the caller owns.
+    so it is one tridiagonal solve on the x-line, clipped to [0, 1] and
+    broadcast over z into an array the caller owns.
     """
-    ops = _operators_for(grid, True)
-    uT, kT = ops.unknownT, ops.knownT
-    A = ops.temperature(c).merged()
+    line = _operators_for(grid, True).temperature(c).line
     T = np.zeros((grid.nx, 1))
     T[0] = 1.0
-    # the known columns carry the pinned end values
-    rhs = -(A[uT][:, kT] @ T.ravel()[kT])
-    T.ravel()[uT] = _factor(A[uT][:, uT], ops.order_T).solve(rhs)
+    # the pinned end values, moved to the right-hand side
+    rhs = -(line @ T)[1:-1, 0]
+    T[1:-1, 0] = _ModeSolve(line, 0.0, np.zeros(1))(rhs)
     np.clip(T, 0.0, 1.0, out=T)
     return np.repeat(T, grid.nz, axis=1)
 
@@ -141,6 +151,31 @@ def front_residual(T: ScalarField, theta0: float) -> float:
 
 # midpoints one continuation inserts before a failing stage raises
 MAX_HALVINGS = 4
+
+# The cap of every GMRES solve: one cycle of at most KRYLOV_MAX_ITER
+# iterations must bring the residual to KRYLOV_RTOL times the right-hand
+# side's, else the block escalates to sparse LU.
+KRYLOV_MAX_ITER = 40
+KRYLOV_RTOL = 1e-12
+
+# the solver that served one block of a sweep
+TRANSFORM = "transform"
+LU = "lu"
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    """The linear solves of one pinned sweep.
+
+    *_iterations count GMRES iterations (0 for a direct solve); *_solver
+    is TRANSFORM when the transform-preconditioned solve served, LU when
+    sparse LU did.  omega_solver is None when the vorticity is decoupled.
+    """
+
+    tc_iterations: int
+    tc_solver: str
+    omega_iterations: int
+    omega_solver: str | None
 
 
 @dataclass
@@ -185,7 +220,7 @@ class FrontProblem:
 
 @dataclass
 class FrontSolution:
-    """A converged stage; iterations counts its sweeps.
+    """A converged stage; iterations counts its sweeps, sweeps records them.
 
     find_front fills trace with one (tau, c, normalization residual) per
     converged stage: trace[0] is the tau = 0 profile (tau0_profile) at
@@ -203,6 +238,7 @@ class FrontSolution:
     normalization_residual: float
     iterations: int = 0
     trace: list = dc_field(default_factory=list)
+    sweeps: list[SweepRecord] = dc_field(default_factory=list)
 
     def speed_bracket(self, problem: FrontProblem) -> tuple[float, float]:
         """A-priori speed bounds from the comparison argument."""
@@ -224,7 +260,8 @@ class _Operators:
     Dirichlet-pinned nodes are never used, columns at those nodes feed
     the right-hand side.  With line=True the same matrices are built for
     the (nx, 1) x-line of planar data: one z-node whose z-differences are
-    zero, so every matrix is its 1D x-factor.
+    zero, so every matrix is its 1D x-factor.  modes_T and modes_W hold
+    the z-Laplacians' eigenvalues and the transforms that diagonalize them.
     """
 
     def __init__(self, grid: StripGrid, line: bool = False):
@@ -238,8 +275,13 @@ class _Operators:
 
         if line:
             LzT1 = LzW1 = DzTc = DzTf = DzW1 = sp.csr_matrix((1, 1))
+            # the line's one z-mode is itself
+            self.modes_T = (np.zeros(1), None)
         else:
             hz = grid.hz
+            # (eigenvalues, z-transforms) diagonalizing LzT1 and LzW1
+            self.modes_T = (_mode_eigenvalues(nz, hz, COSINE), _z_matrices(nz, COSINE))
+            self.modes_W = (_mode_eigenvalues(nz, hz, SINE), _z_matrices(nz, SINE))
             LzT1 = sp.lil_matrix((nz, nz))
             for j in range(1, nz - 1):
                 LzT1[j, j - 1 : j + 2] = [1.0, -2.0, 1.0]
@@ -281,7 +323,6 @@ class _Operators:
         maskW = np.zeros((nx, nz), dtype=bool)
         maskW[1:-1, 1:-1] = True
         self.unknownT = idx[maskT].ravel()
-        self.knownT = idx[~maskT].ravel()
         self.unknownW = idx[maskW].ravel()
         # unknowns the normalization max_{x>=0} T looks at
         self.right_half = idx[maskT & (grid.x >= -1e-12)[:, None]].ravel()
@@ -399,12 +440,151 @@ def _factor(matrix: sp.spmatrix, order: np.ndarray) -> _OrderedLU:
     return _OrderedLU(lu, order)
 
 
+class _ModeSolve:
+    """Inverse of line + diag(shift) - mu_k I on the interior x-nodes of every z-mode k.
+
+    line is an (nx, nx) x-factor whose interior block gives the
+    tridiagonal coefficients; shift has one value per interior x-node.
+    A right-hand side in the grid's row-major order (interior x, then z)
+    is transformed along z, solved for all modes by one LAPACK
+    tridiagonal call on the modes laid end to end, and transformed back.
+    Without transforms (the x-line's single mode) only the tridiagonal
+    solve runs.
+    """
+
+    def __init__(self, line: sp.spmatrix, shift, mu: np.ndarray, transforms=None):
+        n, m = line.shape[0] - 2, mu.size
+        main = (line.diagonal()[1:-1] + shift)[None, :] - mu[:, None]
+        # the modes do not couple: a zero closes each block's off-diagonals
+        dl, du = (np.tile(np.append(line.diagonal(k)[1:-1], 0.0), m)[:-1] for k in (-1, 1))
+        *self.factors, _ = dgttrf(dl, main.ravel(), du)
+        self.transforms, self.shape = transforms, (n, m)
+
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        a = rhs.reshape(self.shape)
+        if self.transforms is not None:
+            a = a @ self.transforms[0]
+        modes, _ = dgttrs(*self.factors, a.T.reshape(-1, 1))
+        out = modes.reshape(self.shape[::-1]).T
+        if self.transforms is not None:
+            out = out @ self.transforms[1]
+        return out.ravel()
+
+
+def _bordered(inner, col: np.ndarray, local: int):
+    """Inverse of [[M, col], [e_local^T, 0]] given the inverse of M.
+
+    M^-1 col and the Schur complement e_local^T M^-1 col are formed once;
+    each application is then one solve with M.
+    """
+    z = inner(col)
+    schur = z[local]
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        x = inner(r[:-1])
+        y = (x[local] - r[-1]) / schur
+        x -= y * z
+        return np.append(x, y)
+
+    return apply
+
+
+def _gmres(matvec, precondition, b: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """Right-preconditioned GMRES from zero, one cycle (Saad & Schultz, 1986).
+
+    Returns (x, iterations).  x is None when KRYLOV_MAX_ITER iterations
+    do not bring the residual to KRYLOV_RTOL * |b|, or when a value turns
+    non-finite.  The Krylov basis is orthogonalized by classical
+    Gram-Schmidt run twice, and Givens rotations keep the residual norm
+    of the least-squares problem at hand.
+    """
+    m = KRYLOV_MAX_ITER
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    V = np.empty((m + 1, b.size))
+    V[0] = b / beta
+    H = np.zeros((m + 1, m))
+    g = np.zeros(m + 1)
+    g[0] = beta
+    cos, sin = np.zeros(m), np.zeros(m)
+    for k in range(m):
+        w = matvec(precondition(V[k]))
+        for _ in range(2):
+            h = V[: k + 1] @ w
+            w -= h @ V[: k + 1]
+            H[: k + 1, k] += h
+        H[k + 1, k] = np.linalg.norm(w)
+        if H[k + 1, k] > 0.0:
+            V[k + 1] = w / H[k + 1, k]
+        for i in range(k):
+            H[i, k], H[i + 1, k] = (cos[i] * H[i, k] + sin[i] * H[i + 1, k],
+                                    cos[i] * H[i + 1, k] - sin[i] * H[i, k])
+        r = math.hypot(H[k, k], H[k + 1, k])
+        if not 0.0 < r < math.inf:
+            return None, k + 1
+        cos[k], sin[k] = H[k, k] / r, H[k + 1, k] / r
+        H[k, k] = r
+        g[k + 1] = -sin[k] * g[k]
+        g[k] *= cos[k]
+        if abs(g[k + 1]) <= KRYLOV_RTOL * beta:
+            y = solve_triangular(H[: k + 1, : k + 1], g[: k + 1])
+            x = precondition(y @ V[: k + 1])
+            return (x if np.isfinite(x).all() else None), k + 1
+    return None, m
+
+
 def _flow_of(grid: StripGrid, W: np.ndarray) -> FlowState:
     """The flow of the vorticity W; psi = 0 solves the Poisson problem of W = 0."""
     omega = ScalarField(grid, W, vorticity_bc())
     if W.any():
         return velocity_from_vorticity(omega)
     return flow_from_streamfunction(omega, ScalarField(grid, np.zeros(grid.shape), vorticity_bc()))
+
+
+def _bordered_system(ops: _Operators, J: _SplitOperator, dFdc: np.ndarray, local: int):
+    """(matvec, preconditioner, LU factory) of the bordered (T, c) Newton system.
+
+    The unknowns are T at ops.unknownT followed by c; the border column is
+    dFdc and the border row pins the unknown at index local.  The
+    preconditioner is the bordered operator with the advection dropped
+    and the reaction slope replaced by its z-mean.
+    """
+    uT = ops.unknownT
+    n_all = ops.shape[0] * ops.shape[1]
+    shift = np.broadcast_to(J.diagonal, n_all).reshape(ops.shape)[1:-1].mean(axis=1)
+    mu, transforms = ops.modes_T
+    precondition = _bordered(_ModeSolve(J.line, shift, mu, transforms), dFdc, local)
+
+    def matvec(u):
+        full = np.zeros(n_all)
+        full[uT] = u[:-1]
+        return np.append((J @ full)[uT] + u[-1] * dFdc, u[local])
+
+    def factor():
+        col = sp.csc_matrix(dFdc.reshape(-1, 1))
+        row = sp.csr_matrix(([1.0], ([0], [local])), shape=(1, uT.size))
+        B = sp.bmat([[J.merged()[uT][:, uT], col], [row, sp.csc_matrix((1, 1))]], format="csr")
+        return _factor(B, ops.order_T)
+
+    return matvec, precondition, factor
+
+
+def _vorticity_system(ops: _Operators, B: sp.csr_matrix, sigma: float, c: float):
+    """(matvec, preconditioner, LU factory) of B = -sigma LAP_W - c DX + skew_W on ops.unknownW.
+
+    The preconditioner is B without the advection.
+    """
+    uW, (nx, nz) = ops.unknownW, ops.shape
+    mu, transforms = ops.modes_W
+
+    def matvec(u):
+        full = np.zeros((nx, nz))
+        full[1:-1, 1:-1] = u.reshape(nx - 2, nz - 2)
+        return (B @ full.ravel())[uW]
+
+    precondition = _ModeSolve(-sigma * ops.Lx1 - c * ops.Dx1, 0.0, sigma * mu, transforms)
+    return matvec, precondition, lambda: _factor(B[uW][:, uW], ops.order_W)
 
 
 class _StageState:
@@ -438,6 +618,27 @@ class _StageState:
         self.mask = problem.reaction.ignited(self.T)
         self.last_A = None
         self.last_B_rhs = None
+        self.on_lu: set[str] = set()  # blocks escalated to sparse LU
+        self.sweeps: list[SweepRecord] = []
+
+    def solve(self, block: str, rhs: np.ndarray, matvec, precondition, factor):
+        """One block's linear solve: (x, GMRES iterations, solver).
+
+        GMRES serves until the block's first miss; that solve and the rest
+        of the stage's solves of the block go to factor(), a sparse LU.  On
+        the x-line the preconditioner is exact and is applied once.
+        """
+        iterations = 0
+        if block not in self.on_lu:
+            if self.line:
+                x = precondition(rhs)
+                x = x if np.isfinite(x).all() else None
+            else:
+                x, iterations = _gmres(matvec, precondition, rhs)
+            if x is not None:
+                return x, iterations, TRANSFORM
+            self.on_lu.add(block)
+        return factor().solve(rhs), iterations, LU
 
     def update_mask(self):
         if not self.active_set or self.mask_frozen:
@@ -472,14 +673,16 @@ class _StageState:
         return ops.temperature(c, self.tau * ops.skew_T(v, w)), v, w
 
     def solve_vorticity(self, T: np.ndarray, c: float, v, w):
-        """Exact solve of the vorticity equation forced by the buoyancy of T.
+        """Solve the vorticity equation forced by the buoyancy of T.
 
-        Returns (W_new, dW), dW relative to the larger of the old and new
-        vorticity, and keeps (B, rhs) for finish; a decoupled state keeps W.
+        Returns (W_new, dW, GMRES iterations, solver), dW relative to the
+        larger of the old and new vorticity, and keeps (B, rhs) for finish;
+        a decoupled state keeps W and reports solver None.  The
+        preconditioner drops the advection.
         """
         if self.decoupled:
             self.last_B_rhs = None
-            return self.W, 0.0
+            return self.W, 0.0, 0, None
         p, g, ops = self.problem, self.problem.grid, self.ops
         uW = ops.unknownW
         T_field = ScalarField(g, T, temperature_bc())
@@ -488,11 +691,12 @@ class _StageState:
         )
         B = (-p.sigma * ops.LAP_W - c * ops.DX + ops.skew_W(v, w)).tocsr()
         rhs_W = forcing.ravel()[uW]
+        x, iterations, solver = self.solve("omega", rhs_W, *_vorticity_system(ops, B, p.sigma, c))
         W_new = np.zeros(g.shape)
-        W_new.ravel()[uW] = _factor(B[uW][:, uW], ops.order_W).solve(rhs_W)
+        W_new.ravel()[uW] = x
         scale_w = max(np.abs(W_new).max(), np.abs(self.W).max(), 1e-8)
         self.last_B_rhs = (B, rhs_W)
-        return W_new, float(np.abs(W_new - self.W).max()) / scale_w
+        return W_new, float(np.abs(W_new - self.W).max()) / scale_w, iterations, solver
 
     def finish(self, c: float, iterations: int) -> FrontSolution:
         """The stage's solution as full-grid fields the caller owns."""
@@ -524,6 +728,7 @@ class _StageState:
             residual_omega=residual_omega,
             normalization_residual=front_residual(T_field, f.theta0),
             iterations=iterations,
+            sweeps=self.sweeps,
         )
 
 
@@ -551,10 +756,11 @@ def solve_steady_pinned(
     Each sweep freezes the flow, takes one semi-smooth Newton step on
     the temperature equation extended by the scalar equation
     T(argmax) - theta0 = 0 (the border makes the nearly singular
-    translation direction well-conditioned; the bordered matrix is
-    factored as a whole), then replaces the vorticity by the exact
-    solution of its linear equation with the new temperature (no
-    relaxation).
+    translation direction well-conditioned, so the Krylov solve keeps
+    it), then replaces the vorticity by the solution of its linear
+    equation with the new temperature (no relaxation).  Each sweep's
+    linear solves are recorded in sweeps, on the solution or on the
+    NonConvergenceError.
     """
     if not 0.0 < tau <= 1.0:
         raise ConfigurationError("pinned solves need tau in (0, 1]")
@@ -584,14 +790,11 @@ def solve_steady_pinned(
         i_star = right_half[np.argmax(Tflat[right_half])]
         res = float(Tflat[i_star] - theta0)
 
-        J_uu = J.merged()[uT][:, uT]
         local = int(np.searchsorted(uT, i_star))
-        n = uT.size
-        col = sp.csc_matrix(dFdc.reshape(-1, 1))
-        row = sp.csr_matrix(([1.0], ([0], [local])), shape=(1, n))
-        B = sp.bmat([[J_uu, col], [row, sp.csc_matrix((1, 1))]], format="csr")
-        step = _factor(B, st.ops.order_T).solve(np.concatenate([-F, [-res]]))
-        dT_vec, dc = step[:n], float(step[n])
+        step, tc_iterations, tc_solver = st.solve(
+            "tc", np.append(-F, -res), *_bordered_system(st.ops, J, dFdc, local)
+        )
+        dT_vec, dc = step[:-1], float(step[-1])
 
         dc_max = 0.25 * (1.0 + abs(c))
         scale = min(1.0, dc_max / abs(dc)) if dc != 0.0 else 1.0
@@ -604,7 +807,8 @@ def solve_steady_pinned(
         st.update_mask()
         st.last_A = A_lin
 
-        st.W, dW = st.solve_vorticity(st.T, c, v, w)
+        st.W, dW, omega_iterations, omega_solver = st.solve_vorticity(st.T, c, v, w)
+        st.sweeps.append(SweepRecord(tc_iterations, tc_solver, omega_iterations, omega_solver))
         history.append(max(dT, dW, abs(dc)))
         res_now = float(st.T.ravel()[right_half].max() - theta0)
         # the ignition set used to build the last solve must agree with
@@ -618,6 +822,7 @@ def solve_steady_pinned(
         f"pinned Newton stalled at tau={tau:g}: update {history[-1]:.3e}, "
         f"residual {res:.3e}",
         residual_history=history,
+        sweeps=st.sweeps,
     )
 
 

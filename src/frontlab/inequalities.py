@@ -193,7 +193,11 @@ def max_divergence(exp: DecayExperiment) -> float:
 
 
 def decay_experiment(exp: DecayExperiment) -> DecaySeries:
-    """March the passive scalar and record (t, sup, L2, L1) each step."""
+    """March the passive scalar and record (t, sup, L2, L1) each step.
+
+    A step with a non-finite value raises BlowUpError whose partial_series
+    holds the rows up to the last finite step.
+    """
     strip = _PeriodicStrip(exp)
     g = strip.grid
     plan = plan_for(g, periodic_bc())
@@ -205,6 +209,7 @@ def decay_experiment(exp: DecayExperiment) -> DecaySeries:
     else:
         adv = min(g.hx, g.hz) / (amp + 1e-12)
         dt = min(0.25 * adv, 0.01)
+    metadata = {"flow": exp.flow, "nx": exp.nx, "nz": exp.nz, "dt": dt}
     rows = [(0.0, *strip.norms(psi))]
     t = 0.0
     while t < exp.t_end - 1e-12:
@@ -214,8 +219,14 @@ def decay_experiment(exp: DecayExperiment) -> DecaySeries:
         t += step_dt
         row = strip.norms(psi)
         if not math.isfinite(row[0]):
-            raise BlowUpError(f"decay run blew up at t={t:g}")
+            raise BlowUpError(
+                f"decay run blew up at t={t:g}", partial_series=_decay_series(rows, metadata)
+            )
         rows.append((t, *row))
+    return _decay_series(rows, metadata)
+
+
+def _decay_series(rows: list, metadata: dict) -> DecaySeries:
     arr = np.array(rows)
     return DecaySeries(
         t=arr[:, 0],
@@ -223,7 +234,7 @@ def decay_experiment(exp: DecayExperiment) -> DecaySeries:
         l2=arr[:, 2],
         l1=arr[:, 3],
         mass=arr[:, 4],
-        metadata={"flow": exp.flow, "nx": exp.nx, "nz": exp.nz, "dt": dt},
+        metadata=metadata,
     )
 
 

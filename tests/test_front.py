@@ -262,7 +262,7 @@ def _slanted_problem(nx, nz, rho):
 
 
 def _record_pinned_stages(monkeypatch) -> list:
-    """(grid, rho, sweeps) of every pinned stage find_front runs, failed ones included.
+    """(grid, rho, sweep records) of every pinned stage find_front runs, failed ones included.
 
     Stages at rho = 0 are the planar ones, which solve on the x-line.
     """
@@ -273,9 +273,10 @@ def _record_pinned_stages(monkeypatch) -> list:
         try:
             sol = pinned(problem, *args, **kwargs)
         except NonConvergenceError as exc:
-            stages.append((problem.grid, problem.rho, len(exc.residual_history)))
+            stages.append((problem.grid, problem.rho, exc.sweeps))
             raise
-        stages.append((problem.grid, problem.rho, sol.iterations))
+        assert len(sol.sweeps) == sol.iterations
+        stages.append((problem.grid, problem.rho, sol.sweeps))
         return sol
 
     monkeypatch.setattr(front, "solve_steady_pinned", recording)
@@ -298,11 +299,11 @@ def test_slanted_front_speed_and_pinned_sweeps(monkeypatch, rho, c_before):
     planar = [(grid, r) for grid, r, _ in stages if r == 0.0]
     assert planar == [(p.grid, 0.0)] * p.continuation.tau_steps
     # the full-grid tau homotopy took 58 (rho = 0.3) and 175 (rho = 30) sweeps
-    full_sweeps = sum(n for _, r, n in stages if r > 0.0)
+    full_sweeps = sum(len(sweeps) for _, r, sweeps in stages if r > 0.0)
     assert full_sweeps <= {0.3: 10, 30.0: 45}[rho]
 
 
-def test_front_lu_matches_plain_splu_and_is_stateless(monkeypatch):
+def test_front_krylov_matches_plain_splu_and_is_stateless(monkeypatch):
     p = _slanted_problem(33, 17, 0.3)
     factorizations = []
     counted = front.splu
@@ -314,36 +315,100 @@ def test_front_lu_matches_plain_splu_and_is_stateless(monkeypatch):
     monkeypatch.setattr(front, "splu", counting)
     stages = _record_pinned_stages(monkeypatch)
     sol = find_front(p)
-    # one LU for the tau = 0 profile and one bordered (T, c)
-    # LU per planar sweep, all on the x-line; then per full-grid sweep a
-    # bordered and a vorticity LU
-    planar = sum(n for _, r, n in stages if r == 0.0)
-    full = sum(n for _, r, n in stages if r > 0.0)
-    assert len(factorizations) == 1 + planar + 2 * full
-    # no factorization depends on an earlier one: the same problem solved
-    # again in the same process gives the same front bit for bit, and the
-    # orders come from the grid alone
+    # tau0_profile and the x-line sweeps solve their tridiagonal systems
+    # directly, and GMRES serves every full-grid solve, so no sparse LU runs
+    assert not factorizations
+    for _, rho, sweeps in stages:
+        for record in sweeps:
+            assert record.tc_solver == front.TRANSFORM
+            if rho == 0.0:
+                assert (record.tc_iterations, record.omega_solver) == (0, None)
+            else:
+                assert record.omega_solver == front.TRANSFORM
+                assert 1 <= record.tc_iterations <= front.KRYLOV_MAX_ITER
+                assert 1 <= record.omega_iterations <= front.KRYLOV_MAX_ITER
+    # no solve depends on an earlier one: the same problem solved again in
+    # the same process gives the same front bit for bit, and the LU orders
+    # come from the grid alone
     assert find_front(p).c == sol.c
     ops = front._operators_for(p.grid)
     for order in ("order_T", "order_W"):
         assert np.array_equal(getattr(front._Operators(p.grid), order), getattr(ops, order))
 
-    g, f = p.grid, p.reaction
+    # one Krylov solve of each block at the converged front against splu of
+    # the assembled matrix
+    f = p.reaction
     uT, uW, n = ops.unknownT, ops.unknownW, ops.unknownT.size
     v, w = sol.flow.v.values, sol.flow.w.values
     T = sol.T.values.ravel()
     A = -ops.LAP_T - sol.c * ops.DX + ops.skew_T(v, w) - sp.diags(f.derivative(sol.T.values).ravel())
-    border_col = sp.csc_matrix((-(ops.DX @ T))[uT].reshape(-1, 1))
-    border_row = sp.csr_matrix(([1.0], ([0], [int(np.argmax(T[uT]))])), shape=(1, n))
-    bordered = sp.bmat([[A.tocsr()[uT][:, uT], border_col], [border_row, None]], format="csc")
-    vorticity = (-p.sigma * ops.LAP_W - sol.c * ops.DX + ops.skew_W(v, w)).tocsr()[uW][:, uW]
-
+    col = (-(ops.DX @ T))[uT]
+    local = int(np.argmax(T[uT]))
+    border_row = sp.csr_matrix(([1.0], ([0], [local])), shape=(1, n))
+    bordered = sp.bmat([[A.tocsr()[uT][:, uT], sp.csc_matrix(col.reshape(-1, 1))],
+                        [border_row, None]], format="csc")
+    J = ops.temperature(sol.c, ops.skew_T(v, w)).shifted(-f.derivative(sol.T.values).ravel())
+    B = (-p.sigma * ops.LAP_W - sol.c * ops.DX + ops.skew_W(v, w)).tocsr()
+    systems = (
+        (bordered, front._bordered_system(ops, J, col, local)),
+        (B[uW][:, uW], front._vorticity_system(ops, B, p.sigma, sol.c)),
+    )
     rng = np.random.default_rng(3)
-    for matrix, order in ((bordered, ops.order_T), (vorticity, ops.order_W)):
+    for matrix, (matvec, precondition, _) in systems:
         rhs = rng.standard_normal(matrix.shape[0])
         ref = splu(matrix.tocsc()).solve(rhs)
-        got = front._factor(matrix, order).solve(rhs)
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        got, iterations = front._gmres(matvec, precondition, rhs)
+        assert 1 < iterations <= front.KRYLOV_MAX_ITER
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_krylov_escalates_to_lu_and_stays_there(monkeypatch):
+    p = _slanted_problem(33, 17, 0.3)
+    krylov = find_front(p).c
+    stages = _record_pinned_stages(monkeypatch)
+
+    def assert_escalated(spent):
+        # per full-grid stage and block: transform solves of at most spent
+        # iterations, then one solve whose GMRES gave up after spent
+        # iterations and went to LU, then LU alone
+        full = [sweeps for _, rho, sweeps in stages if rho > 0.0]
+        assert full
+        for sweeps in full:
+            for block in ("tc", "omega"):
+                solvers = [getattr(s, f"{block}_solver") for s in sweeps]
+                iterations = [getattr(s, f"{block}_iterations") for s in sweeps]
+                first = solvers.index(front.LU)
+                assert solvers[:first] == [front.TRANSFORM] * first
+                assert all(k <= spent for k in iterations[:first])
+                assert iterations[first] == spent
+                assert solvers[first:] == [front.LU] * (len(sweeps) - first)
+                assert iterations[first + 1:] == [0] * (len(sweeps) - first - 1)
+
+    monkeypatch.setattr(front, "KRYLOV_MAX_ITER", 1)
+    capped = find_front(p)
+    assert abs(capped.c - krylov) <= 1e-9 * abs(krylov)
+    assert_escalated(1)
+
+    # a preconditioner that returns non-finite values escalates at its
+    # first iteration instead of spreading them
+    monkeypatch.undo()
+    stages = _record_pinned_stages(monkeypatch)
+    mode_solve = front._ModeSolve.__call__
+
+    def poisoned(self, rhs):
+        out = mode_solve(self, rhs)
+        if self.transforms is not None:
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(front._ModeSolve, "__call__", poisoned)
+    poisoned_sol = find_front(p)
+    assert abs(poisoned_sol.c - krylov) <= 1e-9 * abs(krylov)
+    assert np.isfinite(poisoned_sol.T.values).all() and np.isfinite(poisoned_sol.omega.values).all()
+    assert_escalated(1)
+    for _, rho, sweeps in stages:
+        if rho > 0.0:
+            assert sweeps[0].tc_solver == sweeps[0].omega_solver == front.LU
 
 
 @pytest.mark.parametrize("kind", ["quad_ignition", "step_linear"])
@@ -433,6 +498,38 @@ def test_line_system_is_the_planar_full_grid_system(nx, nz, a, lam, kind, c, tau
     for got, ref in zip(on_grid, on_line):
         assert np.array_equal(got.reshape(nx - 2, nz),
                               np.broadcast_to(ref[:, None], (nx - 2, nz)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=hst.integers(9, 40),
+    nz=hst.integers(8, 20),
+    a=hst.floats(1.0, 40.0),
+    lam=hst.floats(0.5, 4.0),
+    kind=hst.sampled_from(["quad_ignition", "step_linear"]),
+    c=hst.floats(-5.0, 5.0),
+    tau=hst.floats(0.0, 1.0),
+    data=hst.data(),
+)
+def test_bordered_preconditioner_inverts_the_planar_jacobian(nx, nz, a, lam, kind, c, tau, data):
+    # on z-constant T without flow the transform-tridiagonal preconditioner
+    # is the bordered Jacobian's exact inverse, on the x-line and on the
+    # full grid, for any step (z-varying on the full grid).  T is a
+    # monotone front from 1 to 0, bordered where the solver borders it.
+    g = make_grid(a, lam, nx, nz)
+    r = ReactionModel(kind, 0.25)
+    line = data.draw(hst.lists(_planar_values, min_size=nx - 2, max_size=nx - 2))
+    T_line = np.array([1.0, *sorted(line, reverse=True), 0.0])[:, None]
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+    for ops, T in ((front._Operators(g, line=True), T_line),
+                   (front._Operators(g), np.repeat(T_line, nz, axis=1))):
+        _, col, J = front._newton_system(ops, ops.temperature(c), T.ravel(), tau,
+                                         r(T).ravel(), r.derivative(T).ravel())
+        i_star = ops.right_half[np.argmax(T.ravel()[ops.right_half])]
+        local = int(np.searchsorted(ops.unknownT, i_star))
+        matvec, precondition, _ = front._bordered_system(ops, J, col, local)
+        u = rng.standard_normal(ops.unknownT.size + 1)
+        assert np.abs(precondition(matvec(u)) - u).max() <= 1e-10 * np.abs(u).max()
 
 
 # c of the parent code's 2D planar homotopy on 65 x nz (a = 20, lam = 2)

@@ -144,6 +144,10 @@ def test_decay_blow_up_names_the_time(monkeypatch, bad):
 
     monkeypatch.setattr(EllipticPlan, "solve_helmholtz", poisoned)
     exp = DecayExperiment(t_end=1.0, nx=16, nz=8, dt=0.125)
-    with pytest.raises(BlowUpError, match=r"t=0\.375\b"):
+    with pytest.raises(BlowUpError, match=r"t=0\.375\b") as info:
         decay_experiment(exp)
     assert len(calls) == 3
+    # the rows up to the last finite step ride on the error
+    partial = info.value.partial_series
+    assert partial.t.tolist() == [0.0, 0.125, 0.25]
+    assert np.isfinite(partial.linf).all() and partial.metadata["dt"] == 0.125
