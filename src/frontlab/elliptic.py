@@ -34,6 +34,7 @@ from .grid import (
     BoundaryKind,
     ScalarField,
     StripGrid,
+    laplacian,
     vorticity_bc,
 )
 
@@ -79,7 +80,9 @@ class EllipticPlan:
     a periodic plan hands rfft/irfft real z-spectra and no complex array
     ever meets a DCT.  The plan keeps 1/(1 - s*mu) for the last few s
     it solved with, which both Helmholtz solves share; that memo is the
-    plan's only mutable state and never changes a result.
+    plan's only mutable state and never changes a result.  Results are
+    new arrays whose unknowns the inverse z-pass writes directly; callers
+    that solve repeatedly may lend a scratch array for the spectrum.
     """
 
     def __init__(self, grid: StripGrid, bc: BoundaryKind):
@@ -94,7 +97,6 @@ class EllipticPlan:
         self.eigenvalues = mux[:, None] + muz[None, :]
         self._xsl = slice(1, -1) if self.x_kind == SINE else slice(None)
         self._zsl = slice(1, -1) if self.z_kind == SINE else slice(None)
-        self._has_dirichlet = SINE in (self.x_kind, self.z_kind)
         if self.x_kind == PERIODIC:
             self._x_forward, self._x_inverse = rfft, partial(irfft, n=grid.nx)
         else:
@@ -107,36 +109,59 @@ class EllipticPlan:
     def has_zero_mode(self) -> bool:
         return self.x_kind != SINE and self.z_kind == COSINE
 
-    def _forward(self, a: np.ndarray) -> np.ndarray:
-        # the product is a fresh array, so the x-pass may overwrite it
-        return self._x_forward(a @ self._z_forward, axis=0, overwrite_x=True)
-
-    def _inverse(self, a: np.ndarray) -> np.ndarray:
-        """Inverse transforms; a is a spectrum the plan owns and may overwrite."""
-        return self._x_inverse(a, axis=0, overwrite_x=True) @ self._z_inverse
+    @property
+    def unknowns_shape(self) -> tuple[int, int]:
+        """Shape of the nodes the plan solves for, and of its real spectra."""
+        nx, nz = self.grid.shape
+        return (nx - 2 if self.x_kind == SINE else nx, nz - 2 if self.z_kind == SINE else nz)
 
     def _unknowns(self, rhs: np.ndarray) -> np.ndarray:
         return rhs[self._xsl, self._zsl]
 
-    def _helmholtz_spectrum(self, rhs: np.ndarray, s: float) -> np.ndarray:
+    def _forward(self, a: np.ndarray, spectrum: np.ndarray | None = None) -> np.ndarray:
+        """Spectrum of the unknowns a, computed in `spectrum` if one is given.
+
+        spectrum is real scratch of unknowns_shape.  The sine and cosine
+        x-passes run in place there; a periodic one returns a new complex
+        array.
+        """
+        product = np.matmul(a, self._z_forward, out=spectrum)
+        return self._x_forward(product, axis=0, overwrite_x=True)
+
+    def _inverse(self, a: np.ndarray) -> np.ndarray:
+        """Inverse transforms; a is a spectrum the plan may overwrite."""
+        return self._x_inverse(a, axis=0, overwrite_x=True) @ self._z_inverse
+
+    def _field(self, spectrum: np.ndarray) -> np.ndarray:
+        """Full-grid values of a spectrum, zero on the Dirichlet boundary.
+
+        The inverse z-pass writes the unknowns of a new array directly;
+        only the Dirichlet boundary lines are set besides.  The array is
+        allocated after the x-pass: allocated before, it leaves the
+        periodic x-pass's temporary on top of the heap, and freeing that
+        trims the heap on every solve (~220 page faults per 512x65 step).
+        """
+        a = self._x_inverse(spectrum, axis=0, overwrite_x=True)
+        out = np.empty(self.grid.shape)
+        np.matmul(a, self._z_inverse, out=out[self._xsl, self._zsl])
+        if self.x_kind == SINE:
+            out[0] = out[-1] = 0.0
+        if self.z_kind == SINE:
+            out[:, 0] = out[:, -1] = 0.0
+        return out
+
+    def _helmholtz_spectrum(
+        self, rhs: np.ndarray, s: float, spectrum: np.ndarray | None
+    ) -> np.ndarray:
         """Spectrum of u where (I - s*lap) u = rhs on the plan's lattice."""
         recip = self._reciprocals.get(s)
         if recip is None:
             if len(self._reciprocals) == _RECIPROCALS_KEPT:
                 del self._reciprocals[next(iter(self._reciprocals))]
             recip = self._reciprocals[s] = 1.0 / (1.0 - s * self.eigenvalues)
-        spectrum = self._forward(self._unknowns(rhs))
+        spectrum = self._forward(self._unknowns(rhs), spectrum)
         spectrum *= recip
         return spectrum
-
-    def _field(self, spectrum: np.ndarray) -> np.ndarray:
-        """Full-grid values of a spectrum, zero on the Dirichlet boundary."""
-        values = self._inverse(spectrum)
-        if not self._has_dirichlet:
-            return values
-        out = np.zeros(self.grid.shape)
-        out[self._xsl, self._zsl] = values
-        return out
 
     def solve_poisson(self, rhs: ScalarField) -> ScalarField:
         if self.has_zero_mode:
@@ -145,34 +170,39 @@ class EllipticPlan:
         spectrum /= self.eigenvalues
         return ScalarField(self.grid, self._field(spectrum), self.bc)
 
-    def solve_helmholtz(self, rhs: ScalarField, s: float) -> ScalarField:
+    def solve_helmholtz(
+        self, rhs: ScalarField, s: float, spectrum: np.ndarray | None = None
+    ) -> ScalarField:
+        """(I - s*lap) u = rhs; spectrum is optional scratch (see _forward)."""
         if s < 0:
             raise ConfigurationError("anti-diffusion (s < 0) is not allowed")
         if s == 0.0:
             return ScalarField(self.grid, rhs.values.copy(), self.bc)
-        u = self._field(self._helmholtz_spectrum(rhs.values, s))
-        return ScalarField(self.grid, u, self.bc)
+        spectrum = self._helmholtz_spectrum(rhs.values, s, spectrum)
+        return ScalarField(self.grid, self._field(spectrum), self.bc)
 
     def solve_helmholtz_streamfunction(
-        self, rhs: ScalarField, s: float
+        self, rhs: ScalarField, s: float, spectrum: np.ndarray | None = None
     ) -> tuple[ScalarField, ScalarField]:
         """(omega, psi): (I - s*lap) omega = rhs and lap(psi) = -omega.
 
-        psi comes from omega's spectrum, psi_hat = -omega_hat/mu, so the
-        pair costs one forward and two inverse transforms instead of the
-        two forward and two inverse of a Helmholtz then a Poisson solve.
-        omega is bit-identical to solve_helmholtz for s > 0; psi differs
-        from a Poisson solve of -omega by transform round-off only.
+        psi comes from the Helmholtz spectrum, psi_hat = -rhs_hat/((1 -
+        s*mu)*mu), by one forward and one inverse transform.  omega is then
+        -lap(psi) by the 3-point stencils, which the plan inverts exactly:
+        it equals solve_helmholtz up to transform round-off, and vanishes
+        on the boundary exactly.  spectrum is optional scratch.
         """
         if self.has_zero_mode:
             raise ConfigurationError("Poisson is singular for a plan with a constant mode")
         if s < 0:
             raise ConfigurationError("anti-diffusion (s < 0) is not allowed")
-        omega_hat = self._helmholtz_spectrum(rhs.values, s)
-        psi_hat = omega_hat / self.eigenvalues
-        np.negative(psi_hat, out=psi_hat)
-        omega = ScalarField(self.grid, self._field(omega_hat), self.bc)
-        return omega, ScalarField(self.grid, self._field(psi_hat), self.bc)
+        spectrum = self._helmholtz_spectrum(rhs.values, s, spectrum)
+        spectrum /= self.eigenvalues
+        np.negative(spectrum, out=spectrum)
+        psi = ScalarField(self.grid, self._field(spectrum), self.bc)
+        omega = laplacian(psi).values
+        np.negative(omega, out=omega)
+        return ScalarField(self.grid, omega, self.bc), psi
 
 
 @lru_cache(maxsize=32)

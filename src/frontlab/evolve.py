@@ -6,6 +6,15 @@ is no diffusive time-step limit.  The temperature's inhomogeneous ends
 are handled by subtracting the steady linear lift before each implicit
 solve.
 
+A step forms the edge velocities of its flow once and advects both T
+and omega with them (flow.EdgeVelocities).  f(T), T_x and T_z are
+computed once per state and shared by the diagnostics row, the next
+step's reaction term and its buoyancy torque.  The vorticity solve
+yields psi from the Helmholtz spectrum, and omega = -lap(psi) by the
+stencils, which saves an inverse transform.  Scratch arrays live in a
+workspace that the states of one run pass along; an array handed out in
+a SimState is never reused as scratch.
+
 The moving-frame bookkeeping is integer-cell recentering: when the
 front reaches x = 0 all fields shift left by whole cells, incoming
 columns are filled with fresh fluid (T = 0, omega = 0), and the total
@@ -21,27 +30,26 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .diagnostics import (
-    TimeSeries,
-    burning_rate,
-    front_position,
-    nusselt,
-    nz_norm,
-    omega_enstrophy,
-    u_sup,
-    winn_functional,
-)
+from .diagnostics import TimeSeries, front_position, omega_enstrophy, u_sup, winn_functional
 from .elliptic import linear_lift, plan_for
 from .errors import BlowUpError, ConfigurationError, RecenterError
 from .flow import (
+    EdgeVelocities,
     FlowState,
     GravityDir,
-    advect,
-    buoyancy_torque,
     flow_from_streamfunction,
     velocity_from_vorticity,
 )
-from .grid import ScalarField, StripGrid, temperature_bc, vorticity_bc
+from .grid import (
+    ScalarField,
+    StripGrid,
+    dx_bc,
+    dz_bc,
+    gradient_energy,
+    integrate,
+    temperature_bc,
+    vorticity_bc,
+)
 from .laminar import ReactionModel
 
 
@@ -107,6 +115,8 @@ class SimConfig:
             raise ConfigurationError("finite rho >= 0 and sigma > 0 required")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise ConfigurationError("dt must be finite and positive")
+        if not 0.0 <= self.R < math.inf:
+            raise ConfigurationError("interface half-width R must be finite and nonnegative")
 
 
 @dataclass
@@ -116,6 +126,45 @@ class SimState:
     omega: ScalarField
     flow: FlowState
     shift_accum: float = 0.0
+    # f(T), T_x and T_z of this state once computed, and the scratch arrays
+    # its run steps with (shared by the run's states, so one run's states
+    # must not be stepped concurrently)
+    _derived: "_Derived | None" = dc_field(default=None, repr=False, compare=False)
+    _work: "_Workspace | None" = dc_field(default=None, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class _Derived:
+    """Fields computed from a state's T once: owned by that state alone."""
+
+    T: np.ndarray  # the values they were computed from
+    reaction: ReactionModel
+    fT: np.ndarray
+    Tx: np.ndarray  # dx_bc(T)
+    Tz: np.ndarray  # dz_bc(T)
+
+
+def _derived(state: SimState, config: SimConfig) -> _Derived:
+    d = state._derived
+    T = state.T
+    if d is None or d.T is not T.values or d.reaction != config.reaction:
+        fT, Tx, Tz = config.reaction(T.values), dx_bc(T).values, dz_bc(T).values
+        d = state._derived = _Derived(T.values, config.reaction, fT, Tx, Tz)
+    return d
+
+
+class _Workspace:
+    """Scratch arrays of one run's steps; none of them is ever in a SimState."""
+
+    def __init__(self, grid: StripGrid):
+        self.plan_T = plan_for(grid, temperature_bc())
+        self.plan_W = plan_for(grid, vorticity_bc())
+        self.lift = linear_lift(grid, 1.0, 0.0)
+        self.edges = EdgeVelocities(grid)
+        self.rhs = np.empty(grid.shape)
+        self.tmp = np.empty(grid.shape)
+        self.spectrum_T = np.empty(self.plan_T.unknowns_shape)
+        self.spectrum_W = np.empty(self.plan_W.unknowns_shape)
 
 
 def init_front_like(config: SimConfig) -> SimState:
@@ -157,24 +206,35 @@ def cfl_dt(state: SimState, config: SimConfig) -> float:
 def step(state: SimState, config: SimConfig, dt: float) -> SimState:
     """One IMEX step; raises BlowUpError with the last good state."""
     g = config.grid
-    T, omega, flow = state.T, state.omega, state.flow
-    v, w = flow.v.values, flow.w.values
+    ws = state._work or _Workspace(g)
+    d = _derived(state, config)
+    rhs, tmp = ws.rhs, ws.tmp
+    rho_dt = config.rho * dt
 
     # intermediate overflow on a diverging run is expected; the verdict
     # comes from the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        expl_T = -advect(v, w, T) + config.reaction(T.values)
-        T_star = T.values + dt * expl_T
-        lift = linear_lift(g, 1.0, 0.0)
-        plan_T = plan_for(g, temperature_bc())
-        hom = ScalarField(g, T_star - lift, None)
-        T_new = plan_T.solve_helmholtz(hom, dt).values + lift
+        edges = ws.edges.load(state.flow.v.values, state.flow.w.values, -dt)
+        # T* - lift = T - dt*u.grad(T) + dt*f(T) - lift
+        edges.advect(state.T, rhs, tmp)
+        rhs += state.T.values
+        np.multiply(d.fT, dt, out=tmp)
+        rhs += tmp
+        rhs -= ws.lift
+        T_new = ws.plan_T.solve_helmholtz(ScalarField(g, rhs), dt, ws.spectrum_T).values
+        T_new += ws.lift
         np.clip(T_new, 0.0, 1.0, out=T_new)
 
-        expl_W = -advect(v, w, omega) + buoyancy_torque(T, config.rho, config.ehat)
-        W_star = ScalarField(g, omega.values + dt * expl_W, None)
-        plan_W = plan_for(g, vorticity_bc())
-        omega_f, psi = plan_W.solve_helmholtz_streamfunction(W_star, config.sigma * dt)
+        # omega* = omega - dt*u.grad(omega) + dt*rho*(e2*T_x - e1*T_z)
+        edges.advect(state.omega, rhs, tmp)
+        rhs += state.omega.values
+        np.multiply(d.Tx, rho_dt * config.ehat.e2, out=tmp)
+        rhs += tmp
+        np.multiply(d.Tz, rho_dt * config.ehat.e1, out=tmp)
+        rhs -= tmp
+        omega_f, psi = ws.plan_W.solve_helmholtz_streamfunction(
+            ScalarField(g, rhs), config.sigma * dt, ws.spectrum_W
+        )
 
     if not (np.isfinite(T_new).all() and np.isfinite(omega_f.values).all()):
         raise BlowUpError(f"non-finite field at t={state.t + dt:g}", last_state=state)
@@ -185,16 +245,14 @@ def step(state: SimState, config: SimConfig, dt: float) -> SimState:
         omega=omega_f,
         flow=flow_from_streamfunction(omega_f, psi),
         shift_accum=state.shift_accum,
+        _work=ws,
     )
 
 
-def _recenter(state: SimState, config: SimConfig) -> SimState:
-    """Shift fields left by whole cells so the front returns to x <= 0."""
+def _recenter(state: SimState, config: SimConfig, fp: float) -> SimState:
+    """Shift fields left by whole cells so the front at fp > 0 returns to x <= 0."""
     g = config.grid
     theta0 = config.reaction.theta0
-    fp = front_position(state.T, theta0)
-    if fp <= 0.0:
-        return state
     cells = int(math.ceil(fp / g.hx))
     nx = g.nx
     quarter = slice(3 * nx // 4, nx)
@@ -222,20 +280,28 @@ def _recenter(state: SimState, config: SimConfig) -> SimState:
         omega=omega_f,
         flow=velocity_from_vorticity(omega_f),
         shift_accum=state.shift_accum + cells * g.hx,
+        _work=state._work,
     )
 
 
-def _observe(series: TimeSeries, state: SimState, config: SimConfig):
+def _observe(series: TimeSeries, state: SimState, config: SimConfig, fp: float):
+    """Append the diagnostics row of a state whose front sits at fp.
+
+    V, N and Nz are burning_rate, nusselt and nz_norm, evaluated on the
+    state's f(T), T_x and T_z, which its next step uses again.
+    """
+    g = config.grid
+    d = _derived(state, config)
     with np.errstate(over="ignore", invalid="ignore"):
         series.append(
             t=state.t,
-            V=burning_rate(state.T, config.reaction),
-            N=nusselt(state.T),
+            V=integrate(ScalarField(g, d.fT)) / g.lam,
+            N=gradient_energy(state.T.values, d.Tx, d.Tz, g) / g.lam,
             U_sup=u_sup(state.flow),
-            Nz=nz_norm(state.T),
+            Nz=integrate(ScalarField(g, d.Tz * d.Tz)),
             Omega2=omega_enstrophy(state.omega),
             R_winn=winn_functional(state.T),
-            front_pos=front_position(state.T, config.reaction.theta0) + state.shift_accum,
+            front_pos=fp + state.shift_accum,
         )
 
 
@@ -247,8 +313,9 @@ def run(config: SimConfig, observer=None) -> TimeSeries:
     on the exception.
     """
     state = init_front_like(config)
+    theta0 = config.reaction.theta0
     series = TimeSeries(metadata={"kind": "cauchy"})
-    _observe(series, state, config)
+    _observe(series, state, config, front_position(state.T, theta0))
     if observer is not None:
         observer(state)
     while state.t < config.t_end - 1e-12:
@@ -256,12 +323,14 @@ def run(config: SimConfig, observer=None) -> TimeSeries:
         dt = min(dt, config.t_end - state.t)
         try:
             state = step(state, config, dt)
-            if config.recenter:
-                state = _recenter(state, config)
+            fp = front_position(state.T, theta0)
+            if config.recenter and fp > 0.0:
+                state = _recenter(state, config, fp)
+                fp = front_position(state.T, theta0)
         except (BlowUpError, RecenterError) as e:
             e.partial_series = series
             raise
-        _observe(series, state, config)
+        _observe(series, state, config, fp)
         if observer is not None:
             observer(state)
     return series

@@ -67,7 +67,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.sparse.linalg import spilu, splu
 
 from .elliptic import COSINE, SINE, _mode_eigenvalues, _z_matrices
 from .errors import BracketError, ConfigurationError, NonConvergenceError
@@ -397,6 +396,8 @@ def _min_degree_order(matrix: sp.spmatrix) -> np.ndarray:
     incomplete one that drops every off-diagonal entry returns the order
     for a fraction of the time and memory of a full LU.
     """
+    from scipy.sparse.linalg import spilu
+
     ilu = spilu(
         matrix.tocsc(),
         drop_tol=np.inf,
@@ -418,6 +419,13 @@ class _OrderedLU:
         out = np.empty_like(rhs)
         out[self.order] = self.lu.solve(rhs[self.order])
         return out
+
+
+def splu(matrix: sp.spmatrix, **options):
+    """scipy's sparse LU, imported on first use: only the LU fallback runs it."""
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(matrix, **options)
 
 
 def _factor(matrix: sp.spmatrix, order: np.ndarray) -> _OrderedLU:

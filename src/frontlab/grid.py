@@ -11,8 +11,10 @@ The kernels write the interior by slices and the two end lines from the
 ghosts; along z they make one pass over the raveled array and then
 rewrite the wall columns.  Quadrature is trapezoidal in both directions,
 which keeps the discrete integration-by-parts identities used by the
-diagnostics exact (see edge_grad_sq).  node_weights(grid) and grid.x are
-computed once per grid and are read-only.
+diagnostics exact (see edge_grad_sq).  Integrals are the products
+wx @ f @ wz of the per-axis weights, one BLAS pass and no temporary.
+axis_weights(grid), node_weights(grid) and grid.x are computed once per
+grid and are read-only.
 """
 
 from __future__ import annotations
@@ -203,16 +205,24 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def axis_weights(grid: StripGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoidal weights (wx, wz) along each axis; computed once, read-only."""
+    return (
+        _read_only(_trapezoid_weights(grid.nx, grid.hx)),
+        _read_only(_trapezoid_weights(grid.nz, grid.hz)),
+    )
+
+
+@lru_cache(maxsize=32)
 def node_weights(grid: StripGrid) -> np.ndarray:
     """Trapezoidal quadrature weights, shape (nx, nz); computed once, read-only."""
-    wx = _trapezoid_weights(grid.nx, grid.hx)
-    wz = _trapezoid_weights(grid.nz, grid.hz)
-    return _read_only(np.outer(wx, wz))
+    return _read_only(np.outer(*axis_weights(grid)))
 
 
 def integrate(field: ScalarField) -> float:
     """Trapezoidal double integral over the strip; exact for bilinear fields."""
-    return float(np.sum(node_weights(field.grid) * field.values))
+    wx, wz = axis_weights(field.grid)
+    return float(wx @ field.values @ wz)
 
 
 def _lines(a: np.ndarray, axis: int) -> np.ndarray:
@@ -245,12 +255,18 @@ def _centered(values: np.ndarray, axis: int, scale: float):
     return out, _lines(values, axis), _lines(out, axis)
 
 
+def _one_sided_ends(f: np.ndarray, scale: float):
+    """One-sided 3-point derivatives on the first and last line of axis 0."""
+    return (
+        (-3.0 * f[0] + 4.0 * f[1] - f[2]) * scale,
+        (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) * scale,
+    )
+
+
 def _diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order derivative: centered interior, one-sided 3-point edges."""
-    scale = 0.5 / h
-    out, f, o = _centered(values, axis, scale)
-    o[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) * scale
-    o[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) * scale
+    out, f, o = _centered(values, axis, 0.5 / h)
+    o[0], o[-1] = _one_sided_ends(f, 0.5 / h)
     return out
 
 
@@ -265,9 +281,24 @@ def dz(field: ScalarField) -> ScalarField:
 def grad_sq_norm(field: ScalarField) -> float:
     """Integral of |grad f|^2 with the module stencils; nonnegative."""
     g = field.grid
-    fx = _diff_axis(field.values, g.hx, 0)
-    fz = _diff_axis(field.values, g.hz, 1)
-    return float(np.sum(node_weights(g) * (fx * fx + fz * fz)))
+    f = field.values
+    return gradient_energy(f, _diff_axis(f, g.hx, 0), _diff_axis(f, g.hz, 1), g)
+
+
+def gradient_energy(f: np.ndarray, fx: np.ndarray, fz: np.ndarray, grid: StripGrid) -> float:
+    """grad_sq_norm of f, given any derivatives fx, fz that are centered inside.
+
+    Only the interior lines of fx (along x) and fz (along z) are read; the
+    end and wall lines are the one-sided 3-point derivatives of dx/dz.  So
+    the ghost derivatives dx_bc/dz_bc serve as well as dx/dz.
+    """
+    wx, wz = axis_weights(grid)
+    rows = np.square(fx) @ wz  # z-integral of fx^2 on each x-line
+    cols = wx @ np.square(fz)  # x-integral of fz^2 on each z-line
+    for sums, lines, h, w in ((rows, f, grid.hx, wz), (cols, f.T, grid.hz, wx)):
+        lo, hi = _one_sided_ends(lines, 0.5 / h)
+        sums[0], sums[-1] = (lo * lo) @ w, (hi * hi) @ w
+    return float(wx @ rows + cols @ wz)
 
 
 def edge_grad_sq(field: ScalarField) -> float:
@@ -314,17 +345,20 @@ def _bc_specs(bc: BoundaryKind):
     return xlo, xhi, zspec
 
 
-def _second_difference(values, twice, axis: int, lo_spec, hi_spec) -> np.ndarray:
-    """(f[k+1] - 2f[k]) + f[k-1] along axis, end lines from the ghosts."""
-    out = np.empty(values.shape)
+def _second_difference(values, twice, out, axis: int, lo_spec, hi_spec) -> np.ndarray:
+    """(f[k+1] - 2f[k]) + f[k-1] along axis into out, end lines from the ghosts.
+
+    twice is 2f; out may be twice itself, since every node reads only its
+    own entry of twice.
+    """
     f, t, o = _run(values, axis), _run(twice, axis), _run(out, axis)
     inner = o[1:-1]
     np.subtract(f[2:], t[1:-1], out=inner)
     inner += f[:-2]
-    f, t, o = _lines(values, axis), _lines(twice, axis), _lines(out, axis)
+    f, o = _lines(values, axis), _lines(out, axis)
     lo, hi = _ghost_values(f, lo_spec, hi_spec)
-    o[0] = f[1] - t[0] + lo
-    o[-1] = hi - t[-1] + f[-2]
+    o[0] = f[1] - 2.0 * f[0] + lo
+    o[-1] = hi - 2.0 * f[-1] + f[-2]
     return out
 
 
@@ -340,9 +374,9 @@ def laplacian(field: ScalarField) -> ScalarField:
     xlo, xhi, zspec = _bc_specs(field.bc)
     f = field.values
     twice = 2.0 * f
-    lap = _second_difference(f, twice, 0, xlo, xhi)
+    lap = _second_difference(f, twice, np.empty(f.shape), 0, xlo, xhi)
     lap /= g.hx**2
-    lap_z = _second_difference(f, twice, 1, zspec, zspec)
+    lap_z = _second_difference(f, twice, twice, 1, zspec, zspec)  # twice is spent
     lap_z /= g.hz**2
     lap += lap_z
     return ScalarField(g, lap, None)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import BracketError, ConfigurationError, NumericalError
 
@@ -63,14 +62,17 @@ class ReactionModel:
 
     def __call__(self, T):
         T = np.asarray(T, dtype=float)
-        up = np.clip(T - self.theta0, 0.0, None)
-        down = np.clip(1.0 - T, 0.0, None)
+        down = np.maximum(1.0 - T, 0.0)
         if self.kind == STEP_LINEAR:
             out = np.where(self.ignited(T), self.amplitude * down, 0.0)
-        elif self.kind == QUAD_IGNITION:
-            out = self.amplitude * up * down / (1.0 - self.theta0)
         else:
-            out = self.amplitude * up * up * down / (1.0 - self.theta0)
+            # amplitude*up[*up]*down/(1 - theta0), left to right, in place
+            up = np.maximum(T - self.theta0, 0.0)
+            out = up * self.amplitude
+            if self.kind == NARROW_COMPLIANT:
+                out *= up
+            out *= down
+            out /= 1.0 - self.theta0
         return out if out.shape else float(out)
 
     def rate(self, T: float) -> float:
@@ -178,6 +180,7 @@ def _classify_shot(
     turns nonnegative below 1) means c is too small.  start_x shifts the
     launch point along the exact tail (the result must not depend on it).
     """
+    from scipy.integrate import solve_ivp
 
     def rhs(x, y):
         return (y[1], -c * y[1] - reaction.rate(float(y[0])))
@@ -249,6 +252,8 @@ def _build_profile(reaction: ReactionModel, c0: float, bracket: float) -> Lamina
     burned endpoint; x is recovered alongside and shifted so phi(0) =
     theta0.
     """
+    from scipy.integrate import solve_ivp
+
     theta0 = reaction.theta0
     fp1 = abs(float(reaction.derivative(1.0 - 1e-9)))
     mu = 0.5 * (-c0 + math.sqrt(c0 * c0 + 4.0 * fp1))

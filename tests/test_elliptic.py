@@ -188,7 +188,8 @@ def test_reciprocal_memo_never_serves_a_stale_denominator():
         fresh_omega, fresh_psi = EllipticPlan(g, walls.bc).solve_helmholtz_streamfunction(rhs, s)
         assert np.array_equal(omega.values, fresh_omega.values)
         assert np.array_equal(psi.values, fresh_psi.values)
-        assert np.array_equal(omega.values, walls.solve_helmholtz(rhs, s).values)
+        helmholtz = walls.solve_helmholtz(rhs, s).values
+        assert np.abs(omega.values - helmholtz).max() <= 1e-12 * np.abs(helmholtz).max()
     for s in np.linspace(0.01, 1.0, 3 * _RECIPROCALS_KEPT):
         periodic.solve_helmholtz(rhs, s)
         assert len(periodic._reciprocals) <= _RECIPROCALS_KEPT

@@ -5,8 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from frontlab.diagnostics import COLUMNS, check_winn_inequality
-from frontlab.errors import ConfigurationError
+from frontlab.diagnostics import (
+    COLUMNS,
+    burning_rate,
+    check_winn_inequality,
+    front_position,
+    nusselt,
+    nz_norm,
+    omega_enstrophy,
+    u_sup,
+    winn_functional,
+)
+from frontlab.errors import BlowUpError, ConfigurationError
 from frontlab.evolve import OmegaInit, SimConfig, SimState, cfl_dt, init_front_like, run, step
 from frontlab.flow import FlowState, GravityDir, buoyancy_torque, weighted_inner
 from frontlab.grid import (
@@ -41,6 +51,12 @@ def test_init_front_like_shape():
 def test_init_rejects_wide_interface():
     with pytest.raises(ConfigurationError):
         init_front_like(_config(R=15.0))
+
+
+@pytest.mark.parametrize("R", [math.nan, -1.0, math.inf])
+def test_config_rejects_interface_width_that_is_not_finite_and_nonnegative(R):
+    with pytest.raises(ConfigurationError):
+        _config(R=R)
 
 
 def test_init_degenerate_ramp():
@@ -261,3 +277,70 @@ def test_winn_inequality_on_short_run():
     # sign-definite observables stay nonnegative along the run
     for col in ("V", "N", "Nz", "Omega2", "R_winn"):
         assert series.column(col).min() >= 0.0
+
+
+def _buoyant_recentering_config(**kw):
+    base = dict(
+        grid=make_grid(20.0, 2.0, 129, 17),
+        reaction=ReactionModel("quad_ignition", 0.25),
+        rho=0.3,
+        ehat=GravityDir.normalized(1.0, 1.0),
+        dt=0.05,
+        t_end=6.0,
+        R=4.0,
+        recenter=True,
+        omega0=OmegaInit("random", seed=3, energy=1e-6),
+    )
+    return SimConfig(**{**base, **kw})
+
+
+def _handed_out(state):
+    return (state.T.values, state.omega.values, state.flow.psi.values,
+            state.flow.v.values, state.flow.w.values)
+
+
+def test_states_are_never_overwritten_by_later_steps():
+    kept = []
+
+    def keep(state):
+        kept.append((_handed_out(state), [a.copy() for a in _handed_out(state)]))
+
+    series = run(_buoyant_recentering_config(), observer=keep)
+    assert len(kept) == len(series) > 100
+    for arrays, copies in kept:
+        for a, c in zip(arrays, copies):
+            assert np.array_equal(a, c)
+
+    # the state a failing step started from rides on the error unchanged
+    g = make_grid(10.0, 1.0, 65, 33)
+    blowing = SimConfig(grid=g, reaction=ReactionModel("quad_ignition", 0.25), rho=1e8,
+                        ehat=GravityDir.normalized(0.0, 1.0), R=2.0, dt=0.5, t_end=50.0)
+    kept.clear()
+    with pytest.raises(BlowUpError) as err:
+        run(blowing, observer=keep)
+    last = err.value.last_state
+    arrays, copies = kept[-1]
+    assert all(a is b for a, b in zip(_handed_out(last), arrays))
+    for a, c in zip(_handed_out(last), copies):
+        assert np.array_equal(a, c)
+
+
+def test_run_rows_match_the_public_diagnostics():
+    cfg = _buoyant_recentering_config()
+    states = []
+    series = run(cfg, observer=states.append)
+    assert states[-1].shift_accum > 0.0  # the run recentered
+    theta0 = cfg.reaction.theta0
+    for row, st in zip(series.rows, states, strict=True):
+        expected = {
+            "t": st.t,
+            "V": burning_rate(st.T, cfg.reaction),
+            "N": nusselt(st.T),
+            "U_sup": u_sup(st.flow),
+            "Nz": nz_norm(st.T),
+            "Omega2": omega_enstrophy(st.omega),
+            "R_winn": winn_functional(st.T),
+            "front_pos": front_position(st.T, theta0) + st.shift_accum,
+        }
+        for name, value in expected.items():
+            assert row[COLUMNS.index(name)] == pytest.approx(value, rel=1e-12, abs=0.0), name

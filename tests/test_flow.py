@@ -107,7 +107,14 @@ def test_shared_spectrum_streamfunction(shape):
     plan = plan_for(g, vorticity_bc())
     s = 0.013
     omega, psi = plan.solve_helmholtz_streamfunction(ScalarField(g, rhs), s)
-    assert np.array_equal(omega.values, plan.solve_helmholtz(ScalarField(g, rhs), s).values)
+    # omega is -lap(psi): the Helmholtz solution up to transform round-off
+    helmholtz = plan.solve_helmholtz(ScalarField(g, rhs), s).values
+    assert np.abs(omega.values - helmholtz).max() <= 1e-12 * np.abs(helmholtz).max()
+    assert np.array_equal(omega.values, -laplacian(psi).values)
+    assert omega.bc_violation() == 0.0
+    # a lent spectrum scratch changes nothing
+    lent = plan.solve_helmholtz_streamfunction(ScalarField(g, rhs), s, np.empty(plan.unknowns_shape))
+    assert np.array_equal(lent[1].values, psi.values)
     ref = poisson_dirichlet(ScalarField(g, -omega.values)).values
     assert np.abs(psi.values - ref).max() <= 1e-12 * np.abs(ref).max()
     st = flow_from_streamfunction(omega, psi)
