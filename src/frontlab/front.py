@@ -42,8 +42,13 @@ ignition mask enters the operator and each solve is exact on its
 branch, so the iteration can settle bit-exactly instead of chattering.
 
 Each sweep solves two linear systems, the bordered (T, c) step and the
-vorticity, by GMRES (_gmres) preconditioned with their operators
-stripped of the flow and of the z-variation of the reaction slope: a
+vorticity.  Their products apply the fixed sparse parts (the x-line
+factors and the z-Laplacian) and add the frozen flow's advection through
+one flow.EdgeVelocities per block, loaded once per sweep with scale tau
+for T and 1 for omega (_Advection); the sparse skew advection matrices
+are assembled only when a block is factorized by LU.  GMRES (_gmres)
+solves both, preconditioned with their operators stripped of the flow
+and of the z-variation of the reaction slope: a
 type-1 transform in z (DCT-I for T's Neumann walls, DST-I for omega, the
 ones elliptic defines) turns them into one tridiagonal x-solve per
 z-mode (_ModeSolve), and the border is added by its Schur complement
@@ -70,7 +75,13 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .elliptic import COSINE, SINE, _mode_eigenvalues, _z_matrices
 from .errors import BracketError, ConfigurationError, NonConvergenceError
-from .flow import FlowState, GravityDir, flow_from_streamfunction, velocity_from_vorticity
+from .flow import (
+    EdgeVelocities,
+    FlowState,
+    GravityDir,
+    flow_from_streamfunction,
+    velocity_from_vorticity,
+)
 from .grid import (
     ScalarField,
     StripGrid,
@@ -164,17 +175,21 @@ LU = "lu"
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """The linear solves of one pinned sweep.
+    """The linear solves of one pinned sweep and the update they made.
 
     *_iterations count GMRES iterations (0 for a direct solve); *_solver
     is TRANSFORM when the transform-preconditioned solve served, LU when
     sparse LU did.  omega_solver is None when the vorticity is decoupled.
+    update is max(max|dT|, relative max|d omega|, |dc|), the quantity the
+    stage compares with inner_tol; its ratios over a stage's sweeps are
+    the splitting's contraction rate.
     """
 
     tc_iterations: int
     tc_solver: str
     omega_iterations: int
     omega_solver: str | None
+    update: float
 
 
 @dataclass
@@ -255,6 +270,10 @@ class FrontSolution:
 class _Operators:
     """Grid-fixed sparse pieces of the steady operators.
 
+    The products of the solver use the x-line factors, the z-couplings
+    and DX; the skew advection matrices (skew_T, skew_W) are built only
+    for an LU, and LAP_T/LAP_W only for the elimination orders and tests.
+
     Full-grid matrices in row-major flattening (idx = i*nz + j); rows at
     Dirichlet-pinned nodes are never used, columns at those nodes feed
     the right-hand side.  With line=True the same matrices are built for
@@ -306,11 +325,11 @@ class _Operators:
 
             DzW1 = sp.diags([-np.ones(nz - 1), np.ones(nz - 1)], [-1, 1]) / (2.0 * hz)
 
-        # the temperature operators keep their x-line factors and their
-        # z-coupling apart (_SplitOperator)
+        # the split operators keep their x-line factors and their
+        # z-couplings -I (x) Lz apart (_SplitOperator)
         self.Lx1, self.Dx1 = Lx1.tocsr(), Dx1.tocsr()
-        self.LZZ_T = sp.kron(Ix, LzT1).tocsr()
-        self.LAP_W = (sp.kron(Lx1, Iz) + sp.kron(Ix, LzW1)).tocsr()
+        self.minus_LZZ_T = sp.kron(Ix, -LzT1).tocsr()
+        self.minus_LZZ_W = sp.kron(Ix, -LzW1).tocsr()
         self.DX = sp.kron(Dx1, Iz).tocsr()
         self.DZ_Tc = sp.kron(Ix, DzTc).tocsr()
         self.DZ_Tf = sp.kron(Ix, DzTf).tocsr()
@@ -329,7 +348,11 @@ class _Operators:
 
     @property
     def LAP_T(self) -> sp.csr_matrix:
-        return (sp.kron(self.Lx1, sp.identity(self.shape[1])) + self.LZZ_T).tocsr()
+        return (sp.kron(self.Lx1, sp.identity(self.shape[1])) - self.minus_LZZ_T).tocsr()
+
+    @property
+    def LAP_W(self) -> sp.csr_matrix:
+        return (sp.kron(self.Lx1, sp.identity(self.shape[1])) - self.minus_LZZ_W).tocsr()
 
     # Every system on a grid has the 5-point pattern of its Laplacian, so
     # one fill-reducing order per block serves every factorization.
@@ -351,37 +374,81 @@ class _Operators:
         dw = sp.diags(w.ravel())
         return 0.5 * (dv @ self.DX + self.DX @ dv + dw @ self.DZ_W + self.DZ_W @ dw)
 
-    def temperature(self, c: float, advection: sp.spmatrix | None = None) -> "_SplitOperator":
+    def temperature(self, c: float, advection: "_Advection | None" = None) -> "_SplitOperator":
         """-LAP_T - c DX + advection."""
-        coupling = -self.LZZ_T if advection is None else advection - self.LZZ_T
-        return _SplitOperator((-self.Lx1 - c * self.Dx1).tocsr(), coupling.tocsr())
+        line = (-self.Lx1 - c * self.Dx1).tocsr()
+        return _SplitOperator(line, self.minus_LZZ_T, advection=advection)
+
+    def vorticity(self, sigma: float, c: float, advection: "_Advection") -> "_SplitOperator":
+        """-sigma LAP_W - c DX + advection."""
+        line = (-sigma * self.Lx1 - c * self.Dx1).tocsr()
+        return _SplitOperator(line, sigma * self.minus_LZZ_W, advection=advection)
+
+
+class _Advection:
+    """scale * u.grad under a frozen flow (v, w), one block's advection term.
+
+    Products apply it through one flow.EdgeVelocities, which load()
+    refills in place: an operator holding this term applies the flow of
+    the latest load.  The field extends past the sides by bc.  skew is
+    the block's sparse matrix builder (_Operators.skew_T or skew_W), which
+    only matrix() calls, for an LU.
+    """
+
+    def __init__(self, grid: StripGrid, bc, skew):
+        self.grid, self.bc, self.skew = grid, bc, skew
+        self.edges = EdgeVelocities(grid)
+        self.out, self.tmp = np.empty(grid.shape), np.empty(grid.shape)
+
+    def load(self, v: np.ndarray, w: np.ndarray, scale: float) -> "_Advection":
+        self.edges.load(v, w, scale)
+        self.v, self.w, self.scale = v, w, scale
+        return self
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """The advection of flat u, in scratch the next call overwrites."""
+        field = ScalarField(self.grid, u.reshape(self.grid.shape), self.bc)
+        return self.edges.advect(field, self.out, self.tmp).reshape(-1)
+
+    def matrix(self) -> sp.csr_matrix:
+        return self.scale * self.skew(self.v, self.w)
 
 
 class _SplitOperator:
-    """kron(line, I_z) + diag(diagonal) + coupling, applied term by term.
+    """kron(line, I_z) + coupling + diag(diagonal) + advection, applied term by term.
 
-    line acts along x on every z-column alike.  On data constant along z
-    without flow the coupling (z-Laplacian, zero advection) sums to an
-    exact 0.0 per row, so the product with a broadcast column is the
-    broadcast of the x-line's product bit for bit.  Factorizations take
-    merged().
+    line acts along x on every z-column alike; coupling is the z-part
+    -I (x) Lz of a Laplacian.  The advection, an _Advection or None, is
+    applied by its edge-flux kernel, so a product assembles nothing.  On
+    data constant along z without flow the coupling sums to an exact 0.0
+    per row, so the product with a broadcast column is the broadcast of
+    the x-line's product bit for bit.  Factorizations take merged(), the
+    one place the sparse skew matrix is built.
     """
 
-    def __init__(self, line: sp.csr_matrix, coupling: sp.csr_matrix, diagonal=0.0):
+    def __init__(self, line: sp.csr_matrix, coupling: sp.csr_matrix, diagonal=0.0, advection=None):
         self.line, self.coupling, self.diagonal = line, coupling, diagonal
+        self.advection = advection
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        along_x = self.line @ u.reshape(self.line.shape[0], -1)
-        return along_x.ravel() + self.coupling @ u + self.diagonal * u
+        out = (self.line @ u.reshape(self.line.shape[0], -1)).ravel()
+        out += self.coupling @ u
+        out += self.diagonal * u
+        if self.advection is not None:
+            out += self.advection(u)
+        return out
 
     def shifted(self, diagonal: np.ndarray) -> "_SplitOperator":
         """The operator plus diag(diagonal)."""
-        return _SplitOperator(self.line, self.coupling, self.diagonal + diagonal)
+        return _SplitOperator(self.line, self.coupling, self.diagonal + diagonal, self.advection)
 
     def merged(self) -> sp.csr_matrix:
         n, nx = self.coupling.shape[0], self.line.shape[0]
         lift = self.line if n == nx else sp.kron(self.line, sp.identity(n // nx))
-        return (lift + self.coupling + sp.diags(np.broadcast_to(self.diagonal, n))).tocsr()
+        merged = lift + self.coupling + sp.diags(np.broadcast_to(self.diagonal, n))
+        if self.advection is not None:
+            merged = merged + self.advection.matrix()
+        return merged.tocsr()
 
 
 @lru_cache(maxsize=8)
@@ -578,10 +645,11 @@ def _bordered_system(ops: _Operators, J: _SplitOperator, dFdc: np.ndarray, local
     return matvec, precondition, factor
 
 
-def _vorticity_system(ops: _Operators, B: sp.csr_matrix, sigma: float, c: float):
-    """(matvec, preconditioner, LU factory) of B = -sigma LAP_W - c DX + skew_W on ops.unknownW.
+def _vorticity_system(ops: _Operators, B: _SplitOperator, sigma: float):
+    """(matvec, preconditioner, LU factory) of the vorticity operator B on ops.unknownW.
 
-    The preconditioner is B without the advection.
+    B is ops.vorticity(sigma, c, advection); the preconditioner is B
+    without the advection.
     """
     uW, (nx, nz) = ops.unknownW, ops.shape
     mu, transforms = ops.modes_W
@@ -591,8 +659,8 @@ def _vorticity_system(ops: _Operators, B: sp.csr_matrix, sigma: float, c: float)
         full[1:-1, 1:-1] = u.reshape(nx - 2, nz - 2)
         return (B @ full.ravel())[uW]
 
-    precondition = _ModeSolve(-sigma * ops.Lx1 - c * ops.Dx1, 0.0, sigma * mu, transforms)
-    return matvec, precondition, lambda: _factor(B[uW][:, uW], ops.order_W)
+    precondition = _ModeSolve(B.line, 0.0, sigma * mu, transforms)
+    return matvec, precondition, lambda: _factor(B.merged()[uW][:, uW], ops.order_W)
 
 
 class _StageState:
@@ -663,22 +731,33 @@ class _StageState:
         if len(hist) > 4:
             del hist[0]
 
+    # each block's advection under the sweep's frozen flow, made on the
+    # first coupled sweep
+    @cached_property
+    def advect_T(self) -> _Advection:
+        return _Advection(self.problem.grid, temperature_bc(), self.ops.skew_T)
+
+    @cached_property
+    def advect_W(self) -> _Advection:
+        return _Advection(self.problem.grid, vorticity_bc(), self.ops.skew_W)
+
     @property
     def decoupled(self) -> bool:
         return self.problem.rho * self.tau == 0.0 and np.abs(self.W).max() == 0.0
 
     def temperature_operator(self, c: float):
-        """-LAP_T - c DX + tau skew_T under the frozen flow; returns (A, v, w).
+        """-LAP_T - c DX + tau u.grad under the frozen flow; returns (A, v, w).
 
-        A is a _SplitOperator; the velocity (v, w) is None while the
-        vorticity is decoupled.
+        A is a _SplitOperator whose advection is advect_T loaded with
+        scale tau; the velocity (v, w) is None while the vorticity is
+        decoupled.
         """
         ops = self.ops
         if self.decoupled:
             return ops.temperature(c), None, None
         flow = _flow_of(self.problem.grid, self.W)
         v, w = flow.v.values, flow.w.values
-        return ops.temperature(c, self.tau * ops.skew_T(v, w)), v, w
+        return ops.temperature(c, self.advect_T.load(v, w, self.tau)), v, w
 
     def solve_vorticity(self, T: np.ndarray, c: float, v, w):
         """Solve the vorticity equation forced by the buoyancy of T.
@@ -697,9 +776,9 @@ class _StageState:
         forcing = p.rho * self.tau * (
             p.ehat.e2 * dx_bc(T_field).values - p.ehat.e1 * dz_bc(T_field).values
         )
-        B = (-p.sigma * ops.LAP_W - c * ops.DX + ops.skew_W(v, w)).tocsr()
+        B = ops.vorticity(p.sigma, c, self.advect_W.load(v, w, 1.0))
         rhs_W = forcing.ravel()[uW]
-        x, iterations, solver = self.solve("omega", rhs_W, *_vorticity_system(ops, B, p.sigma, c))
+        x, iterations, solver = self.solve("omega", rhs_W, *_vorticity_system(ops, B, p.sigma))
         W_new = np.zeros(g.shape)
         W_new.ravel()[uW] = x
         scale_w = max(np.abs(W_new).max(), np.abs(self.W).max(), 1e-8)
@@ -723,7 +802,7 @@ class _StageState:
             residual_omega = 0.0
         else:
             B, rhs_W = self.last_B_rhs
-            res_W = B[uW] @ self.W.ravel() - rhs_W
+            res_W = (B @ self.W.ravel())[uW] - rhs_W
             residual_omega = float(np.abs(res_W).max() * g.hx * g.hz)
 
         return FrontSolution(
@@ -781,7 +860,6 @@ def solve_steady_pinned(
     res_tol = cfg.c_tol * (0.05 * g.a * theta0 * (1.0 - theta0))
 
     c = c_init
-    history = []
     for it in range(1, cfg.max_inner + 1):
         A_lin, v, w = st.temperature_operator(c)
         Tflat = st.T.ravel()
@@ -816,20 +894,22 @@ def solve_steady_pinned(
         st.last_A = A_lin
 
         st.W, dW, omega_iterations, omega_solver = st.solve_vorticity(st.T, c, v, w)
-        st.sweeps.append(SweepRecord(tc_iterations, tc_solver, omega_iterations, omega_solver))
-        history.append(max(dT, dW, abs(dc)))
+        update = max(dT, dW, abs(dc))
+        st.sweeps.append(
+            SweepRecord(tc_iterations, tc_solver, omega_iterations, omega_solver, update)
+        )
         res_now = float(st.T.ravel()[right_half].max() - theta0)
         # the ignition set used to build the last solve must agree with
         # the set implied by its own output, else keep iterating
         mask_consistent = (not st.active_set) or bool(
             np.array_equal(mask_used, f.ignited(st.T))
         )
-        if history[-1] < cfg.inner_tol and abs(res_now) <= res_tol and mask_consistent:
+        if update < cfg.inner_tol and abs(res_now) <= res_tol and mask_consistent:
             return st.finish(c, it)
     raise NonConvergenceError(
-        f"pinned Newton stalled at tau={tau:g}: update {history[-1]:.3e}, "
+        f"pinned Newton stalled at tau={tau:g}: update {update:.3e}, "
         f"residual {res:.3e}",
-        residual_history=history,
+        residual_history=[s.update for s in st.sweeps],
         sweeps=st.sweeps,
     )
 

@@ -106,10 +106,13 @@ class DecayExperiment:
     psi0_width: float = 0.5
 
     def __post_init__(self):
-        if self.t_end <= 0 or self.lam <= 0 or self.box_length <= 0:
-            raise ConfigurationError("positive lam, box_length, t_end required")
-        if self.sigma <= 0:
-            raise ConfigurationError("sigma must be positive")
+        # each check is written so that NaN fails it
+        for name in ("lam", "box_length", "sigma", "t_end", "psi0_width"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and positive")
+        # dt = 0 would never reach t_end
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ConfigurationError("dt must be None or finite and positive")
         if self.nx < 16 or self.nz < 8:
             raise ConfigurationError("decay grid too coarse")
 

@@ -1,6 +1,8 @@
 """Steady front finder: linear stage oracles, pinned solves, continuation."""
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from frontlab.front import (
     tau0_speed,
 )
 from frontlab.flow import GravityDir
-from frontlab.grid import ScalarField, make_grid, temperature_bc
+from frontlab.grid import ScalarField, make_grid, temperature_bc, vorticity_bc
 from frontlab.laminar import ReactionModel, laminar_speed, profile_eval
 
 
@@ -347,11 +349,14 @@ def test_front_krylov_matches_plain_splu_and_is_stateless(monkeypatch):
     border_row = sp.csr_matrix(([1.0], ([0], [local])), shape=(1, n))
     bordered = sp.bmat([[A.tocsr()[uT][:, uT], sp.csc_matrix(col.reshape(-1, 1))],
                         [border_row, None]], format="csc")
-    J = ops.temperature(sol.c, ops.skew_T(v, w)).shifted(-f.derivative(sol.T.values).ravel())
+    advect_T = front._Advection(p.grid, temperature_bc(), ops.skew_T).load(v, w, 1.0)
+    advect_W = front._Advection(p.grid, vorticity_bc(), ops.skew_W).load(v, w, 1.0)
+    J = ops.temperature(sol.c, advect_T).shifted(-f.derivative(sol.T.values).ravel())
     B = (-p.sigma * ops.LAP_W - sol.c * ops.DX + ops.skew_W(v, w)).tocsr()
     systems = (
         (bordered, front._bordered_system(ops, J, col, local)),
-        (B[uW][:, uW], front._vorticity_system(ops, B, p.sigma, sol.c)),
+        (B[uW][:, uW],
+         front._vorticity_system(ops, ops.vorticity(p.sigma, sol.c, advect_W), p.sigma)),
     )
     rng = np.random.default_rng(3)
     for matrix, (matvec, precondition, _) in systems:
@@ -409,6 +414,90 @@ def test_krylov_escalates_to_lu_and_stays_there(monkeypatch):
     for _, rho, sweeps in stages:
         if rho > 0.0:
             assert sweeps[0].tc_solver == sweeps[0].omega_solver == front.LU
+
+
+def test_krylov_sweeps_assemble_no_skew_matrix(monkeypatch):
+    # the products apply the frozen flow through the edge-flux kernel:
+    # while every block stays on the transform path no sparse skew
+    # advection matrix is built
+    built = []
+    for name in ("skew_T", "skew_W"):
+        skew = getattr(front._Operators, name)
+
+        def counting(self, v, w, skew=skew, name=name):
+            built.append(name)
+            return skew(self, v, w)
+
+        monkeypatch.setattr(front._Operators, name, counting)
+    stages = _record_pinned_stages(monkeypatch)
+    p = _slanted_problem(129, 17, 0.3)
+    sol = find_front(p)
+    assert np.abs(sol.omega.values).max() > 0.0
+    full = [sweeps for _, rho, sweeps in stages if rho > 0.0]
+    assert full
+    for sweeps in full:
+        for record in sweeps:
+            assert record.tc_solver == record.omega_solver == front.TRANSFORM
+    assert built == []
+    # a block that escalates to LU assembles its matrix, skew part included
+    monkeypatch.setattr(front, "KRYLOV_MAX_ITER", 1)
+    find_front(_slanted_problem(33, 17, 0.3))
+    assert {"skew_T", "skew_W"} <= set(built)
+
+
+def test_sweep_records_carry_the_stage_updates():
+    # SweepRecord.update is what a stage compares with inner_tol, so a
+    # stage's contraction rate can be read from its sweeps alone
+    p = _slanted_problem(33, 17, 0.3)
+    sol = find_front(p)
+    assert len(sol.sweeps) == sol.iterations
+    assert sol.sweeps[-1].update < p.continuation.inner_tol
+    starved = replace(p, continuation=Continuation(c_tol=1e-3, max_inner=3))
+    with pytest.raises(NonConvergenceError) as info:
+        solve_steady_pinned(starved, 1.0, sol.c * 1.5,
+                            init=(sol.T.values, np.zeros(p.grid.shape)))
+    err = info.value
+    assert len(err.sweeps) == 3
+    assert err.residual_history == [s.update for s in err.sweeps]
+    assert err.sweeps[-1].update >= p.continuation.inner_tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=hst.integers(9, 30),
+    nz=hst.integers(8, 16),
+    a=hst.floats(1.0, 40.0),
+    lam=hst.floats(0.5, 4.0),
+    c=hst.floats(-5.0, 5.0),
+    tau=hst.floats(0.0, 1.0),
+    sigma=hst.floats(0.1, 5.0),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_kernel_products_match_the_lu_matrices(nx, nz, a, lam, c, tau, sigma, seed):
+    # one product per block: the bordered (T, c) and the omega matvecs
+    # apply the advection by the edge-flux kernel, and their LU factories
+    # assemble it from the sparse skew matrices.  Both must give one
+    # operator on every unknown, T's Neumann wall rows included.
+    g = make_grid(a, lam, nx, nz)
+    ops = front._Operators(g)
+    rng = np.random.default_rng(seed)
+    v, w = rng.standard_normal((2, nx, nz))
+    uT = ops.unknownT
+    advect_T = front._Advection(g, temperature_bc(), ops.skew_T).load(v, w, tau)
+    J = ops.temperature(c, advect_T).shifted(rng.standard_normal(nx * nz))
+    col = rng.standard_normal(uT.size)
+    local = int(rng.integers(uT.size))
+    advect_W = front._Advection(g, vorticity_bc(), ops.skew_W).load(v, w, 1.0)
+    systems = (
+        front._bordered_system(ops, J, col, local),
+        front._vorticity_system(ops, ops.vorticity(sigma, c, advect_W), sigma),
+    )
+    with mock.patch.object(front, "_factor", lambda matrix, order: matrix):
+        for matvec, _, assemble in systems:
+            matrix = assemble()
+            u = rng.standard_normal(matrix.shape[0])
+            ref = matrix @ u
+            assert np.abs(matvec(u) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("kind", ["quad_ignition", "step_linear"])

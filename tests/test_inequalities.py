@@ -151,3 +151,20 @@ def test_decay_blow_up_names_the_time(monkeypatch, bad):
     partial = info.value.partial_series
     assert partial.t.tolist() == [0.0, 0.125, 0.25]
     assert np.isfinite(partial.linf).all() and partial.metadata["dt"] == 0.125
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        *(dict(dt=value) for value in (0.0, -0.1, np.nan, np.inf)),
+        *(
+            {name: value}
+            for name in ("t_end", "lam", "box_length", "sigma", "psi0_width")
+            for value in (0.0, -1.0, np.nan, np.inf)
+        ),
+    ],
+)
+def test_decay_experiment_rejects_bad_values(bad):
+    # dt = 0 would never reach t_end, and NaN must fail every check
+    with pytest.raises(ConfigurationError):
+        DecayExperiment(**{**dict(t_end=1.0, nx=16, nz=8), **bad})
