@@ -58,14 +58,14 @@ class GravityDir:
     e2: float
 
     def __post_init__(self):
-        if abs(self.e1**2 + self.e2**2 - 1.0) > 1e-12:
+        if not abs(self.e1**2 + self.e2**2 - 1.0) <= 1e-12:  # NaN fails it
             raise ConfigurationError("gravity direction must have unit norm")
 
     @classmethod
     def normalized(cls, e1: float, e2: float) -> "GravityDir":
         r = math.hypot(e1, e2)
-        if r == 0.0:
-            raise ConfigurationError("gravity direction cannot be zero")
+        if not 0.0 < r < math.inf:
+            raise ConfigurationError("gravity direction must be finite and nonzero")
         return cls(e1 / r, e2 / r)
 
     @property

@@ -22,10 +22,10 @@ Planar data (rho * tau = 0, omega = 0 and T constant along z) stay
 planar: with Neumann walls and no flow the equations do not couple the
 z-nodes.  A stage started from such data therefore solves on the (nx, 1)
 x-line and broadcasts its answer over z; the whole planar homotopy runs
-there.  The line's matrices are the 1D x-factors whose Kronecker lifts
-make the full-grid ones, and the full-grid temperature operator applies
-those factors column by column with its z-coupling apart
-(_SplitOperator), so on planar data the two agree bit for bit.
+there.  The line's operator is the 1D x-factor, and the full-grid
+temperature operator applies that factor column by column with its
+z-part apart (_SplitOperator), so on planar data the two agree bit for
+bit.
 
 Stages with tau > 0 run a bordered semi-smooth Newton iteration on
 (T, c) (solve_steady_pinned) with the normalization as phase condition.
@@ -42,23 +42,24 @@ ignition mask enters the operator and each solve is exact on its
 branch, so the iteration can settle bit-exactly instead of chattering.
 
 Each sweep solves two linear systems, the bordered (T, c) step and the
-vorticity.  Their products apply the fixed sparse parts (the x-line
-factors and the z-Laplacian) and add the frozen flow's advection through
-one flow.EdgeVelocities per block, loaded once per sweep with scale tau
-for T and 1 for omega (_Advection); the sparse skew advection matrices
-are assembled only when a block is factorized by LU.  GMRES (_gmres)
-solves both, preconditioned with their operators stripped of the flow
-and of the z-variation of the reaction slope: a
-type-1 transform in z (DCT-I for T's Neumann walls, DST-I for omega, the
-ones elliptic defines) turns them into one tridiagonal x-solve per
-z-mode (_ModeSolve), and the border is added by its Schur complement
-(_bordered).  On planar data that preconditioner is the operator itself,
-so the x-line stages and tau0_profile solve it directly.  A block whose
-GMRES misses its cap (KRYLOV_MAX_ITER iterations to KRYLOV_RTOL) or
-returns a non-finite value is solved by sparse LU (_factor) instead, and
-stays on LU for the rest of its stage; every factorization of a grid
-and block reuses one symmetric minimum-degree order computed from the
-5-point pattern alone, so it depends only on its matrix.
+vorticity.  Their products are the one definition of the operators
+(_SplitOperator): the x-line factors, grid's second difference along z
+with the block's wall ghost, and the frozen flow's advection through one
+flow.EdgeVelocities per block, loaded once per sweep with scale tau for
+T and 1 for omega (_Advection).  GMRES (_gmres) solves both,
+preconditioned with their operators stripped of the flow and of the
+z-variation of the reaction slope: a type-1 transform in z (DCT-I for
+T's Neumann walls, DST-I for omega, the ones elliptic defines) turns
+them into one tridiagonal x-solve per z-mode (_ModeSolve), and the
+border is added by its Schur complement (_bordered).  On planar data
+that preconditioner is the operator itself, so the x-line stages and
+tau0_profile solve it directly.  A block whose GMRES misses its cap
+(KRYLOV_MAX_ITER iterations to KRYLOV_RTOL) or returns a non-finite
+value is solved by sparse LU (_factor) instead, and stays on LU for the
+rest of its stage.  The LU's matrix is recovered from five products of
+the block (_assemble); every factorization of a grid and block reuses
+one symmetric minimum-degree order computed from the 5-point pattern
+alone, so it depends only on its matrix.
 """
 
 from __future__ import annotations
@@ -83,8 +84,11 @@ from .flow import (
     velocity_from_vorticity,
 )
 from .grid import (
+    DIRICHLET,
+    NEUMANN,
     ScalarField,
     StripGrid,
+    _second_difference,
     dx_bc,
     dz_bc,
     temperature_bc,
@@ -268,121 +272,63 @@ class FrontSolution:
 
 
 class _Operators:
-    """Grid-fixed sparse pieces of the steady operators.
+    """Grid-fixed pieces of the steady operators.
 
-    The products of the solver use the x-line factors, the z-couplings
-    and DX; the skew advection matrices (skew_T, skew_W) are built only
-    for an LU, and LAP_T/LAP_W only for the elimination orders and tests.
-
-    Full-grid matrices in row-major flattening (idx = i*nz + j); rows at
-    Dirichlet-pinned nodes are never used, columns at those nodes feed
-    the right-hand side.  With line=True the same matrices are built for
-    the (nx, 1) x-line of planar data: one z-node whose z-differences are
-    zero, so every matrix is its 1D x-factor.  modes_T and modes_W hold
-    the z-Laplacians' eigenvalues and the transforms that diagonalize them.
+    Vectors are full-grid in row-major flattening (idx = i*nz + j); rows
+    at Dirichlet-pinned nodes are never used, entries at those nodes feed
+    the right-hand side.  Lx1 and Dx1 are the 1D x-factors; the z-part of
+    each Laplacian is grid's second difference along z with the block's
+    wall ghost (_SplitOperator).  With line=True the pieces are those of
+    the (nx, 1) x-line of planar data, which has no z-part.  modes_T and
+    modes_W hold the z-Laplacians' eigenvalues and the transforms that
+    diagonalize them.
     """
 
     def __init__(self, grid: StripGrid, line: bool = False):
         nx, hx = grid.nx, grid.hx
         nz = 1 if line else grid.nz
-        Ix = sp.identity(nx, format="csr")
-        Iz = sp.identity(nz, format="csr")
-
-        Lx1 = sp.diags([np.ones(nx - 1), np.full(nx, -2.0), np.ones(nx - 1)], [-1, 0, 1]) / hx**2
-        Dx1 = sp.diags([-np.ones(nx - 1), np.ones(nx - 1)], [-1, 1]) / (2.0 * hx)
-
+        self.Lx1 = (sp.diags([np.ones(nx - 1), np.full(nx, -2.0), np.ones(nx - 1)], [-1, 0, 1])
+                    / hx**2).tocsr()
+        self.Dx1 = (sp.diags([-np.ones(nx - 1), np.ones(nx - 1)], [-1, 1]) / (2.0 * hx)).tocsr()
         if line:
-            LzT1 = LzW1 = DzTc = DzTf = DzW1 = sp.csr_matrix((1, 1))
-            # the line's one z-mode is itself
-            self.modes_T = (np.zeros(1), None)
+            # the line's one z-mode is itself, and it has no z-part
+            self.modes_T, self.hz = (np.zeros(1), None), None
         else:
-            hz = grid.hz
-            # (eigenvalues, z-transforms) diagonalizing LzT1 and LzW1
-            self.modes_T = (_mode_eigenvalues(nz, hz, COSINE), _z_matrices(nz, COSINE))
-            self.modes_W = (_mode_eigenvalues(nz, hz, SINE), _z_matrices(nz, SINE))
-            LzT1 = sp.lil_matrix((nz, nz))
-            for j in range(1, nz - 1):
-                LzT1[j, j - 1 : j + 2] = [1.0, -2.0, 1.0]
-            LzT1[0, 0], LzT1[0, 1] = -2.0, 2.0
-            LzT1[nz - 1, nz - 2], LzT1[nz - 1, nz - 1] = 2.0, -2.0
-            LzT1 = (LzT1 / hz**2).tocsr()
-
-            LzW1 = (
-                sp.diags([np.ones(nz - 1), np.full(nz, -2.0), np.ones(nz - 1)], [-1, 0, 1]) / hz**2
-            )
-
-            DzTc = sp.lil_matrix((nz, nz))
-            for j in range(1, nz - 1):
-                DzTc[j, j - 1], DzTc[j, j + 1] = -1.0, 1.0
-            DzTc = (DzTc / (2.0 * hz)).tocsr()  # wall rows stay zero (even ghost)
-
-            DzTf = sp.lil_matrix((nz, nz))
-            for j in range(1, nz - 1):
-                DzTf[j, j - 1], DzTf[j, j + 1] = -0.5, 0.5
-            DzTf[0, 1] = 1.0  # odd ghost: (g[1] - (-g[1])) / (2 hz)
-            DzTf[nz - 1, nz - 2] = -1.0
-            DzTf = (DzTf / hz).tocsr()
-
-            DzW1 = sp.diags([-np.ones(nz - 1), np.ones(nz - 1)], [-1, 1]) / (2.0 * hz)
-
-        # the split operators keep their x-line factors and their
-        # z-couplings -I (x) Lz apart (_SplitOperator)
-        self.Lx1, self.Dx1 = Lx1.tocsr(), Dx1.tocsr()
-        self.minus_LZZ_T = sp.kron(Ix, -LzT1).tocsr()
-        self.minus_LZZ_W = sp.kron(Ix, -LzW1).tocsr()
-        self.DX = sp.kron(Dx1, Iz).tocsr()
-        self.DZ_Tc = sp.kron(Ix, DzTc).tocsr()
-        self.DZ_Tf = sp.kron(Ix, DzTf).tocsr()
-        self.DZ_W = sp.kron(Ix, DzW1).tocsr()
+            self.hz = grid.hz
+            self.modes_T = (_mode_eigenvalues(nz, grid.hz, COSINE), _z_matrices(nz, COSINE))
+            self.modes_W = (_mode_eigenvalues(nz, grid.hz, SINE), _z_matrices(nz, SINE))
 
         idx = np.arange(nx * nz).reshape(nx, nz)
-        maskT = np.zeros((nx, nz), dtype=bool)
-        maskT[1:-1, :] = True
-        maskW = np.zeros((nx, nz), dtype=bool)
-        maskW[1:-1, 1:-1] = True
-        self.unknownT = idx[maskT].ravel()
-        self.unknownW = idx[maskW].ravel()
+        self.unknownT = idx[1:-1].ravel()
+        self.unknownW = idx[1:-1, 1:-1].ravel()
         # unknowns the normalization max_{x>=0} T looks at
-        self.right_half = idx[maskT & (grid.x >= -1e-12)[:, None]].ravel()
+        self.right_half = idx[1:-1][grid.x[1:-1] >= -1e-12].ravel()
         self.shape = (nx, nz)
 
-    @property
-    def LAP_T(self) -> sp.csr_matrix:
-        return (sp.kron(self.Lx1, sp.identity(self.shape[1])) - self.minus_LZZ_T).tocsr()
-
-    @property
-    def LAP_W(self) -> sp.csr_matrix:
-        return (sp.kron(self.Lx1, sp.identity(self.shape[1])) - self.minus_LZZ_W).tocsr()
-
-    # Every system on a grid has the 5-point pattern of its Laplacian, so
-    # one fill-reducing order per block serves every factorization.
+    # Every matrix _assemble returns on a block has the block's 5-point
+    # pattern, the identity's included, so one fill-reducing order per
+    # block serves every factorization.
     @cached_property
     def order_T(self) -> np.ndarray:
-        return _min_degree_order(self.LAP_T[self.unknownT][:, self.unknownT])
+        return _min_degree_order(_assemble(lambda u: u, self.unknownT, self.shape))
 
     @cached_property
     def order_W(self) -> np.ndarray:
-        return _min_degree_order(self.LAP_W[self.unknownW][:, self.unknownW])
+        return _min_degree_order(_assemble(lambda u: u, self.unknownW, self.shape))
 
-    def skew_T(self, v: np.ndarray, w: np.ndarray) -> sp.csr_matrix:
-        dv = sp.diags(v.ravel())
-        dw = sp.diags(w.ravel())
-        return 0.5 * (dv @ self.DX + self.DX @ dv + dw @ self.DZ_Tc + self.DZ_Tf @ dw)
-
-    def skew_W(self, v: np.ndarray, w: np.ndarray) -> sp.csr_matrix:
-        dv = sp.diags(v.ravel())
-        dw = sp.diags(w.ravel())
-        return 0.5 * (dv @ self.DX + self.DX @ dv + dw @ self.DZ_W + self.DZ_W @ dw)
+    def _z_part(self, walls: str, sigma: float):
+        """-sigma times the z-part of the Laplacian with walls' ghosts, for _SplitOperator."""
+        return None if self.hz is None else ((walls, 0.0), -sigma / self.hz**2)
 
     def temperature(self, c: float, advection: "_Advection | None" = None) -> "_SplitOperator":
-        """-LAP_T - c DX + advection."""
+        """-laplacian - c dx_bc + advection, with T's Neumann walls."""
         line = (-self.Lx1 - c * self.Dx1).tocsr()
-        return _SplitOperator(line, self.minus_LZZ_T, advection=advection)
+        return _SplitOperator(line, self._z_part(NEUMANN, 1.0), advection=advection)
 
     def vorticity(self, sigma: float, c: float, advection: "_Advection") -> "_SplitOperator":
-        """-sigma LAP_W - c DX + advection."""
+        """-sigma laplacian - c dx_bc + advection, with omega's Dirichlet-zero walls."""
         line = (-sigma * self.Lx1 - c * self.Dx1).tocsr()
-        return _SplitOperator(line, sigma * self.minus_LZZ_W, advection=advection)
+        return _SplitOperator(line, self._z_part(DIRICHLET, sigma), advection=advection)
 
 
 class _Advection:
@@ -390,19 +336,16 @@ class _Advection:
 
     Products apply it through one flow.EdgeVelocities, which load()
     refills in place: an operator holding this term applies the flow of
-    the latest load.  The field extends past the sides by bc.  skew is
-    the block's sparse matrix builder (_Operators.skew_T or skew_W), which
-    only matrix() calls, for an LU.
+    the latest load.  The field extends past the sides by bc.
     """
 
-    def __init__(self, grid: StripGrid, bc, skew):
-        self.grid, self.bc, self.skew = grid, bc, skew
+    def __init__(self, grid: StripGrid, bc):
+        self.grid, self.bc = grid, bc
         self.edges = EdgeVelocities(grid)
         self.out, self.tmp = np.empty(grid.shape), np.empty(grid.shape)
 
     def load(self, v: np.ndarray, w: np.ndarray, scale: float) -> "_Advection":
         self.edges.load(v, w, scale)
-        self.v, self.w, self.scale = v, w, scale
         return self
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -410,45 +353,48 @@ class _Advection:
         field = ScalarField(self.grid, u.reshape(self.grid.shape), self.bc)
         return self.edges.advect(field, self.out, self.tmp).reshape(-1)
 
-    def matrix(self) -> sp.csr_matrix:
-        return self.scale * self.skew(self.v, self.w)
-
 
 class _SplitOperator:
-    """kron(line, I_z) + coupling + diag(diagonal) + advection, applied term by term.
+    """kron(line, I_z) + z-part + diag(diagonal) + advection, applied term by term.
 
-    line acts along x on every z-column alike; coupling is the z-part
-    -I (x) Lz of a Laplacian.  The advection, an _Advection or None, is
-    applied by its edge-flux kernel, so a product assembles nothing.  On
-    data constant along z without flow the coupling sums to an exact 0.0
-    per row, so the product with a broadcast column is the broadcast of
-    the x-line's product bit for bit.  Factorizations take merged(), the
-    one place the sparse skew matrix is built.
+    line acts along x on every z-column alike.  The z-part, (walls, scale)
+    or None on the x-line, is scale times grid's second difference along
+    z (the kernel of grid.laplacian) with the ghost spec walls at both
+    walls.  The advection, an _Advection or None, is applied by its edge-flux kernel.
+    On data constant along z without flow the z-part is an exact 0.0 per
+    node, so the product with a broadcast column is the broadcast of the
+    x-line's product bit for bit.  An LU takes the matrix _assemble
+    recovers from the products.
     """
 
-    def __init__(self, line: sp.csr_matrix, coupling: sp.csr_matrix, diagonal=0.0, advection=None):
-        self.line, self.coupling, self.diagonal = line, coupling, diagonal
+    def __init__(self, line: sp.csr_matrix, z_part, diagonal=0.0, advection=None):
+        self.line, self.z_part, self.diagonal = line, z_part, diagonal
         self.advection = advection
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        out = (self.line @ u.reshape(self.line.shape[0], -1)).ravel()
-        out += self.coupling @ u
+        columns = u.reshape(self.line.shape[0], -1)
+        out = self.line @ columns
+        if self.z_part is not None:
+            out += self._along_z(columns)
+        out = out.ravel()
         out += self.diagonal * u
         if self.advection is not None:
             out += self.advection(u)
         return out
 
+    def _along_z(self, columns: np.ndarray) -> np.ndarray:
+        # its own frame, so its scratch is freed before the next term
+        # allocates: a grid-sized array more alive per product costs the
+        # product fresh pages
+        walls, scale = self.z_part
+        twice = 2.0 * columns
+        d_zz = _second_difference(columns, twice, twice, 1, walls, walls)
+        d_zz *= scale
+        return d_zz
+
     def shifted(self, diagonal: np.ndarray) -> "_SplitOperator":
         """The operator plus diag(diagonal)."""
-        return _SplitOperator(self.line, self.coupling, self.diagonal + diagonal, self.advection)
-
-    def merged(self) -> sp.csr_matrix:
-        n, nx = self.coupling.shape[0], self.line.shape[0]
-        lift = self.line if n == nx else sp.kron(self.line, sp.identity(n // nx))
-        merged = lift + self.coupling + sp.diags(np.broadcast_to(self.diagonal, n))
-        if self.advection is not None:
-            merged = merged + self.advection.matrix()
-        return merged.tocsr()
+        return _SplitOperator(self.line, self.z_part, self.diagonal + diagonal, self.advection)
 
 
 @lru_cache(maxsize=8)
@@ -474,6 +420,30 @@ def _min_degree_order(matrix: sp.spmatrix) -> np.ndarray:
     )
     # perm_c[i] is the position of column i in the factored matrix
     return np.argsort(ilu.perm_c)
+
+
+def _assemble(matvec, unknowns: np.ndarray, shape) -> sp.csr_matrix:
+    """The matrix of a linear 5-point product on unknowns, from five products.
+
+    matvec maps values at unknowns (flat row-major indices into a grid of
+    shape) to its product there.  The colors (i + 2j) mod 5 give the
+    nodes of every 5-point stencil five different colors, so the product
+    with the indicator of color k holds, in each row, the entry of the
+    one column of that color (Curtis, Powell & Reid, 1974).  Every
+    stencil entry is stored, zeros included: the pattern is the grid's.
+    """
+    # position of each node among the unknowns, -1 off them and beyond the grid
+    position = np.full(np.prod(shape), -1)
+    position[unknowns] = np.arange(unknowns.size)
+    position = np.pad(position.reshape(shape), 1, constant_values=-1)
+    i, j = np.divmod(unknowns, shape[1])
+    cols = np.stack([position[i + 1 + di, j + 1 + dj]
+                     for di, dj in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))])
+    rows = np.broadcast_to(np.arange(unknowns.size), cols.shape)
+    rows, cols = rows[cols >= 0], cols[cols >= 0]
+    color = (i + 2 * j) % 5
+    products = np.stack([matvec((color == k).astype(float)) for k in range(5)])
+    return sp.csr_matrix((products[color[cols], rows], (rows, cols)), shape=(unknowns.size,) * 2)
 
 
 class _OrderedLU:
@@ -617,6 +587,17 @@ def _flow_of(grid: StripGrid, W: np.ndarray) -> FlowState:
     return flow_from_streamfunction(omega, ScalarField(grid, np.zeros(grid.shape), vorticity_bc()))
 
 
+def _restricted(operator: _SplitOperator, unknowns: np.ndarray, shape):
+    """The product of operator on a grid of shape, from and to the values at unknowns."""
+
+    def matvec(u):
+        full = np.zeros(shape).ravel()
+        full[unknowns] = u
+        return (operator @ full)[unknowns]
+
+    return matvec
+
+
 def _bordered_system(ops: _Operators, J: _SplitOperator, dFdc: np.ndarray, local: int):
     """(matvec, preconditioner, LU factory) of the bordered (T, c) Newton system.
 
@@ -630,16 +611,15 @@ def _bordered_system(ops: _Operators, J: _SplitOperator, dFdc: np.ndarray, local
     shift = np.broadcast_to(J.diagonal, n_all).reshape(ops.shape)[1:-1].mean(axis=1)
     mu, transforms = ops.modes_T
     precondition = _bordered(_ModeSolve(J.line, shift, mu, transforms), dFdc, local)
+    J_uu = _restricted(J, uT, ops.shape)
 
     def matvec(u):
-        full = np.zeros(n_all)
-        full[uT] = u[:-1]
-        return np.append((J @ full)[uT] + u[-1] * dFdc, u[local])
+        return np.append(J_uu(u[:-1]) + u[-1] * dFdc, u[local])
 
     def factor():
         col = sp.csc_matrix(dFdc.reshape(-1, 1))
         row = sp.csr_matrix(([1.0], ([0], [local])), shape=(1, uT.size))
-        B = sp.bmat([[J.merged()[uT][:, uT], col], [row, sp.csc_matrix((1, 1))]], format="csr")
+        B = sp.bmat([[_assemble(J_uu, uT, ops.shape), col], [row, None]], format="csr")
         return _factor(B, ops.order_T)
 
     return matvec, precondition, factor
@@ -651,16 +631,10 @@ def _vorticity_system(ops: _Operators, B: _SplitOperator, sigma: float):
     B is ops.vorticity(sigma, c, advection); the preconditioner is B
     without the advection.
     """
-    uW, (nx, nz) = ops.unknownW, ops.shape
-    mu, transforms = ops.modes_W
-
-    def matvec(u):
-        full = np.zeros((nx, nz))
-        full[1:-1, 1:-1] = u.reshape(nx - 2, nz - 2)
-        return (B @ full.ravel())[uW]
-
+    uW, mu, transforms = ops.unknownW, *ops.modes_W
+    matvec = _restricted(B, uW, ops.shape)
     precondition = _ModeSolve(B.line, 0.0, sigma * mu, transforms)
-    return matvec, precondition, lambda: _factor(B.merged()[uW][:, uW], ops.order_W)
+    return matvec, precondition, lambda: _factor(_assemble(matvec, uW, ops.shape), ops.order_W)
 
 
 class _StageState:
@@ -735,18 +709,18 @@ class _StageState:
     # first coupled sweep
     @cached_property
     def advect_T(self) -> _Advection:
-        return _Advection(self.problem.grid, temperature_bc(), self.ops.skew_T)
+        return _Advection(self.problem.grid, temperature_bc())
 
     @cached_property
     def advect_W(self) -> _Advection:
-        return _Advection(self.problem.grid, vorticity_bc(), self.ops.skew_W)
+        return _Advection(self.problem.grid, vorticity_bc())
 
     @property
     def decoupled(self) -> bool:
         return self.problem.rho * self.tau == 0.0 and np.abs(self.W).max() == 0.0
 
     def temperature_operator(self, c: float):
-        """-LAP_T - c DX + tau u.grad under the frozen flow; returns (A, v, w).
+        """-laplacian - c dx_bc + tau u.grad under the frozen flow; returns (A, v, w).
 
         A is a _SplitOperator whose advection is advect_T loaded with
         scale tau; the velocity (v, w) is None while the vorticity is
@@ -822,13 +796,13 @@ class _StageState:
 def _newton_system(ops: _Operators, A: _SplitOperator, T: np.ndarray, tau: float, f_val, f_der):
     """(F, dF/dc, J) of the temperature equation A T - tau f = 0 at flat T.
 
-    F and the border column dF/dc = -DX T are restricted to the unknowns;
-    the Jacobian J = A - tau diag(f') is returned whole, as a
-    _SplitOperator.
+    F and the border column dF/dc = -Dx1 T (column by column) are
+    restricted to the unknowns; the Jacobian J = A - tau diag(f') is
+    returned whole, as a _SplitOperator.
     """
     uT = ops.unknownT
     F = (A @ T - tau * f_val)[uT]
-    dFdc = (-(ops.DX @ T))[uT]
+    dFdc = (-(ops.Dx1 @ T.reshape(ops.shape[0], -1))).ravel()[uT]
     return F, dFdc, A.shifted(-tau * f_der)
 
 

@@ -13,6 +13,7 @@ mode is untouched, so mass is conserved to round-off.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +92,12 @@ class FlowSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "shear", "cellular"):
             raise ConfigurationError(f"unknown flow kind {self.kind!r}")
+        if not -math.inf < self.amplitude < math.inf:  # NaN fails it
+            raise ConfigurationError("flow amplitude must be finite")
+        for name in ("cells_x", "cells_z"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ConfigurationError(f"{name} must be an integer >= 1")
 
 
 @dataclass

@@ -44,8 +44,8 @@ class ReactionModel:
             raise ConfigurationError(f"unknown reaction kind {self.kind!r}")
         if not 0.0 < self.theta0 < 1.0:
             raise ConfigurationError("theta0 must lie in (0, 1)")
-        if self.amplitude <= 0.0:
-            raise ConfigurationError("amplitude must be positive")
+        if not 0.0 < self.amplitude < math.inf:  # NaN fails it
+            raise ConfigurationError("amplitude must be finite and positive")
 
     @classmethod
     def narrow_for_width(cls, theta0: float, lam: float) -> "ReactionModel":

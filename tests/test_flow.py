@@ -63,6 +63,22 @@ def test_gravity_direction_validation():
     assert not GravityDir.normalized(1.0, 1.0).axis_aligned
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GravityDir(np.nan, 1.0),
+        lambda: GravityDir(0.0, np.inf),
+        lambda: GravityDir.normalized(0.0, 0.0),
+        lambda: GravityDir.normalized(np.nan, 1.0),
+        lambda: GravityDir.normalized(np.inf, 0.0),
+    ],
+    ids=["nan", "inf", "zero", "normalized-nan", "normalized-inf"],
+)
+def test_gravity_direction_rejects_non_finite(make):
+    with pytest.raises(ConfigurationError):
+        make()
+
+
 def test_zero_vorticity_gives_zero_flow():
     g = make_grid(2.0, 1.0, 33, 17)
     st = velocity_from_vorticity(constant_field(g, 0.0, vorticity_bc()))

@@ -23,8 +23,15 @@ from frontlab.front import (
     tau0_profile,
     tau0_speed,
 )
-from frontlab.flow import GravityDir
-from frontlab.grid import ScalarField, make_grid, temperature_bc, vorticity_bc
+from frontlab.flow import GravityDir, advect
+from frontlab.grid import (
+    ScalarField,
+    dx_bc,
+    laplacian,
+    make_grid,
+    temperature_bc,
+    vorticity_bc,
+)
 from frontlab.laminar import ReactionModel, laminar_speed, profile_eval
 
 
@@ -223,33 +230,37 @@ def test_front_problem_validation():
     assert Continuation(tau_steps=np.int64(3)).tau_steps == 3
 
 
-def test_sparse_operators_match_the_stencil_kernels():
-    # the front's Kronecker matrices and the grid/flow kernels are two
-    # definitions of one discretization; they must agree on the rows the
-    # front solves for (interior x for T, interior nodes for omega)
-    from frontlab.flow import advect
-    from frontlab.front import _Operators
-    from frontlab.grid import dx_bc, laplacian, vorticity_bc
-
-    g = make_grid(4.0, 1.0, 33, 17)
-    ops = _Operators(g)
-    rng = np.random.default_rng(12)
-    f, v, w = (rng.standard_normal(g.shape) for _ in range(3))
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=hst.integers(8, 30),
+    nz=hst.integers(8, 16),
+    a=hst.floats(1.0, 40.0),
+    lam=hst.floats(0.5, 4.0),
+    c=hst.floats(-5.0, 5.0),
+    tau=hst.floats(0.0, 1.0),
+    sigma=hst.floats(0.1, 5.0),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_operator_products_match_the_stencil_kernels(nx, nz, a, lam, c, tau, sigma, seed):
+    # the front's products and the grid/flow kernels define one
+    # discretization; they must agree on the rows the front solves for
+    # (interior x for T, Neumann wall rows included; interior nodes for
+    # omega)
+    g = make_grid(a, lam, nx, nz)
+    ops = front._Operators(g)
+    rng = np.random.default_rng(seed)
+    f, v, w = rng.standard_normal((3, nx, nz))
     cases = (
-        (temperature_bc(), ops.unknownT, ops.LAP_T, ops.skew_T(v, w)),
-        (vorticity_bc(), ops.unknownW, ops.LAP_W, ops.skew_W(v, w)),
+        (temperature_bc(), ops.unknownT, 1.0, ops.temperature),
+        (vorticity_bc(), ops.unknownW, sigma, lambda c, adv: ops.vorticity(sigma, c, adv)),
     )
-    for bc, rows, lap, skew in cases:
+    for bc, rows, diffusion, operator in cases:
         field = ScalarField(g, f, bc)
-        pairs = (
-            (lap, laplacian(field).values),
-            (ops.DX, dx_bc(field).values),
-            (skew, advect(v, w, field)),
-        )
-        for matrix, kernel in pairs:
-            ref = kernel.ravel()[rows]
-            got = (matrix @ f.ravel())[rows]
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        product = operator(c, front._Advection(g, bc).load(v, w, tau)) @ f.ravel()
+        kernel = (-diffusion * laplacian(field).values - c * dx_bc(field).values
+                  + tau * advect(v, w, field))
+        ref = kernel.ravel()[rows]
+        assert np.abs(product[rows] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _slanted_problem(nx, nz, rho):
@@ -338,25 +349,24 @@ def test_front_krylov_matches_plain_splu_and_is_stateless(monkeypatch):
         assert np.array_equal(getattr(front._Operators(p.grid), order), getattr(ops, order))
 
     # one Krylov solve of each block at the converged front against splu of
-    # the assembled matrix
+    # the matrix assembled from its products
     f = p.reaction
-    uT, uW, n = ops.unknownT, ops.unknownW, ops.unknownT.size
+    uT, uW = ops.unknownT, ops.unknownW
     v, w = sol.flow.v.values, sol.flow.w.values
     T = sol.T.values.ravel()
-    A = -ops.LAP_T - sol.c * ops.DX + ops.skew_T(v, w) - sp.diags(f.derivative(sol.T.values).ravel())
-    col = (-(ops.DX @ T))[uT]
+    col = -dx_bc(sol.T).values.ravel()[uT]
     local = int(np.argmax(T[uT]))
-    border_row = sp.csr_matrix(([1.0], ([0], [local])), shape=(1, n))
-    bordered = sp.bmat([[A.tocsr()[uT][:, uT], sp.csc_matrix(col.reshape(-1, 1))],
-                        [border_row, None]], format="csc")
-    advect_T = front._Advection(p.grid, temperature_bc(), ops.skew_T).load(v, w, 1.0)
-    advect_W = front._Advection(p.grid, vorticity_bc(), ops.skew_W).load(v, w, 1.0)
+    advect_T = front._Advection(p.grid, temperature_bc()).load(v, w, 1.0)
+    advect_W = front._Advection(p.grid, vorticity_bc()).load(v, w, 1.0)
     J = ops.temperature(sol.c, advect_T).shifted(-f.derivative(sol.T.values).ravel())
-    B = (-p.sigma * ops.LAP_W - sol.c * ops.DX + ops.skew_W(v, w)).tocsr()
+    B = ops.vorticity(p.sigma, sol.c, advect_W)
+    J_uu, B_ww = (front._assemble(front._restricted(op, unknowns, ops.shape), unknowns, ops.shape)
+                  for op, unknowns in ((J, uT), (B, uW)))
+    border_row = sp.csr_matrix(([1.0], ([0], [local])), shape=(1, uT.size))
     systems = (
-        (bordered, front._bordered_system(ops, J, col, local)),
-        (B[uW][:, uW],
-         front._vorticity_system(ops, ops.vorticity(p.sigma, sol.c, advect_W), p.sigma)),
+        (sp.bmat([[J_uu, col[:, None]], [border_row, None]]),
+         front._bordered_system(ops, J, col, local)),
+        (B_ww, front._vorticity_system(ops, B, p.sigma)),
     )
     rng = np.random.default_rng(3)
     for matrix, (matvec, precondition, _) in systems:
@@ -418,17 +428,16 @@ def test_krylov_escalates_to_lu_and_stays_there(monkeypatch):
 
 def test_krylov_sweeps_assemble_no_skew_matrix(monkeypatch):
     # the products apply the frozen flow through the edge-flux kernel:
-    # while every block stays on the transform path no sparse skew
-    # advection matrix is built
-    built = []
-    for name in ("skew_T", "skew_W"):
-        skew = getattr(front._Operators, name)
+    # while every block stays on the transform path no matrix is
+    # assembled, and a block that escalates to LU assembles its own
+    assembled = []
+    assemble = front._assemble
 
-        def counting(self, v, w, skew=skew, name=name):
-            built.append(name)
-            return skew(self, v, w)
+    def counting(matvec, unknowns, shape):
+        assembled.append(shape)
+        return assemble(matvec, unknowns, shape)
 
-        monkeypatch.setattr(front._Operators, name, counting)
+    monkeypatch.setattr(front, "_assemble", counting)
     stages = _record_pinned_stages(monkeypatch)
     p = _slanted_problem(129, 17, 0.3)
     sol = find_front(p)
@@ -438,11 +447,10 @@ def test_krylov_sweeps_assemble_no_skew_matrix(monkeypatch):
     for sweeps in full:
         for record in sweeps:
             assert record.tc_solver == record.omega_solver == front.TRANSFORM
-    assert built == []
-    # a block that escalates to LU assembles its matrix, skew part included
+    assert assembled == []
     monkeypatch.setattr(front, "KRYLOV_MAX_ITER", 1)
     find_front(_slanted_problem(33, 17, 0.3))
-    assert {"skew_T", "skew_W"} <= set(built)
+    assert assembled
 
 
 def test_sweep_records_carry_the_stage_updates():
@@ -474,23 +482,42 @@ def test_sweep_records_carry_the_stage_updates():
     seed=hst.integers(0, 2**32 - 1),
 )
 def test_kernel_products_match_the_lu_matrices(nx, nz, a, lam, c, tau, sigma, seed):
-    # one product per block: the bordered (T, c) and the omega matvecs
-    # apply the advection by the edge-flux kernel, and their LU factories
-    # assemble it from the sparse skew matrices.  Both must give one
-    # operator on every unknown, T's Neumann wall rows included.
+    # an LU factors the matrix _assemble recovers from a block's products;
+    # it must be that product's matrix on every unknown (T's Neumann wall
+    # rows included), on the full grid and on the x-line, and its pattern
+    # must not depend on the flow
     g = make_grid(a, lam, nx, nz)
     ops = front._Operators(g)
     rng = np.random.default_rng(seed)
     v, w = rng.standard_normal((2, nx, nz))
-    uT = ops.unknownT
-    advect_T = front._Advection(g, temperature_bc(), ops.skew_T).load(v, w, tau)
-    J = ops.temperature(c, advect_T).shifted(rng.standard_normal(nx * nz))
-    col = rng.standard_normal(uT.size)
-    local = int(rng.integers(uT.size))
-    advect_W = front._Advection(g, vorticity_bc(), ops.skew_W).load(v, w, 1.0)
+    line = front._Operators(g, line=True)
+    blocks = [(line.temperature(c).shifted(rng.standard_normal(nx)), line.unknownT, line.shape)]
+    for scale in (tau, 0.0):
+        advect_T = front._Advection(g, temperature_bc()).load(v * scale, w * scale, tau)
+        advect_W = front._Advection(g, vorticity_bc()).load(v * scale, w * scale, 1.0)
+        blocks += [
+            (ops.temperature(c, advect_T).shifted(rng.standard_normal(nx * nz)), ops.unknownT,
+             ops.shape),
+            (ops.vorticity(sigma, c, advect_W), ops.unknownW, ops.shape),
+        ]
+    matrices = []
+    for operator, unknowns, shape in blocks:
+        matvec = front._restricted(operator, unknowns, shape)
+        matrix = front._assemble(matvec, unknowns, shape)
+        u = rng.standard_normal(unknowns.size)
+        ref = matvec(u)
+        assert np.abs(matrix @ u - ref).max() <= 1e-12 * np.abs(ref).max()
+        matrices.append(matrix)
+    for flowing, still in zip(matrices[1:3], matrices[3:]):
+        assert np.array_equal(flowing.indptr, still.indptr)
+        assert np.array_equal(flowing.indices, still.indices)
+
+    # the bordered (T, c) factory stacks the border onto the assembled block
+    J, col = blocks[1][0], rng.standard_normal(ops.unknownT.size)
+    local = int(rng.integers(ops.unknownT.size))
     systems = (
         front._bordered_system(ops, J, col, local),
-        front._vorticity_system(ops, ops.vorticity(sigma, c, advect_W), sigma),
+        front._vorticity_system(ops, blocks[2][0], sigma),
     )
     with mock.patch.object(front, "_factor", lambda matrix, order: matrix):
         for matvec, _, assemble in systems:

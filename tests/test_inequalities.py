@@ -168,3 +168,16 @@ def test_decay_experiment_rejects_bad_values(bad):
     # dt = 0 would never reach t_end, and NaN must fail every check
     with pytest.raises(ConfigurationError):
         DecayExperiment(**{**dict(t_end=1.0, nx=16, nz=8), **bad})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        *(dict(amplitude=value) for value in (np.nan, np.inf, -np.inf)),
+        *({name: value} for name in ("cells_x", "cells_z") for value in (0, -1, 2.5, np.nan)),
+    ],
+)
+def test_flow_spec_rejects_bad_values(bad):
+    # zero cells would divide by zero in the cellular velocity
+    with pytest.raises(ConfigurationError):
+        FlowSpec(**{**dict(kind="cellular", amplitude=5.0), **bad})

@@ -296,8 +296,9 @@ def test_cli_missing_config_exits_2(capsys):
 @pytest.mark.parametrize(
     "old, new",
     [("dt = 0.05", "dt = fast"), ("dt = 0.05", "dt = nan"),
-     ("rho = 0.1", "rho = nan"), ("t_end = 0.5", "t_end = nan")],
-    ids=["dt-text", "dt-nan", "rho-nan", "t_end-nan"],
+     ("rho = 0.1", "rho = nan"), ("t_end = 0.5", "t_end = nan"),
+     ("amplitude = 1.0", "amplitude = nan"), ("e1 = 1", "e1 = nan"), ("e1 = 1", "e1 = inf")],
+    ids=["dt-text", "dt-nan", "rho-nan", "t_end-nan", "amplitude-nan", "e1-nan", "e1-inf"],
 )
 def test_cli_evolve_bad_value_exits_2(tmp_path, capsys, old, new):
     cfg_path = tmp_path / "run.cfg"

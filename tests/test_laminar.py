@@ -168,6 +168,13 @@ def test_bad_reaction_params():
         laminar_speed(ReactionModel("step_linear", 0.25), tol=0.5)
 
 
+@pytest.mark.parametrize("amplitude", [0.0, -1.0, math.nan, math.inf])
+def test_reaction_model_rejects_bad_amplitudes(amplitude):
+    # NaN must fail the check, not surface later as a non-finite field
+    with pytest.raises(ConfigurationError):
+        ReactionModel("quad_ignition", 0.25, amplitude)
+
+
 def _same_float(x: float, y: float) -> bool:
     if math.isnan(x) or math.isnan(y):
         return math.isnan(x) and math.isnan(y)
