@@ -316,6 +316,45 @@ def test_slanted_front_speed_and_pinned_sweeps(monkeypatch, rho, c_before):
     assert full_sweeps <= {0.3: 10, 30.0: 45}[rho]
 
 
+@pytest.mark.parametrize("rho", [0.3, 3.0, 10.0])
+def test_inexact_sweeps_keep_the_exact_sweeps_fronts(monkeypatch, rho):
+    # each block solves for a Newton correction to the forcing
+    # KRYLOV_RTOL of its residual; the sweeps must reach the front and
+    # the sweep count of sweeps solved to 1e-12
+    p = _slanted_problem(129, 17, rho)
+    gmres = front._gmres
+    solves = []
+
+    def checked(matvec, precondition, b):
+        x, iterations = gmres(matvec, precondition, b)
+        if x is not None:
+            # the true residual, not GMRES's own estimate of it
+            norm_b = np.linalg.norm(b)
+            assert np.linalg.norm(b - matvec(x)) <= (front.KRYLOV_RTOL + 1e-12) * norm_b
+            solves.append(iterations)
+        return x, iterations
+
+    def full_grid_sweeps(stages):
+        return [record for _, r, sweeps in stages if r > 0.0 for record in sweeps]
+
+    with monkeypatch.context() as exact:
+        exact.setattr(front, "KRYLOV_RTOL", 1e-12)
+        exact_stages = _record_pinned_stages(exact)
+        exact_c = find_front(p).c
+    monkeypatch.setattr(front, "_gmres", checked)
+    stages = _record_pinned_stages(monkeypatch)
+    sol = find_front(p)
+    assert abs(sol.c - exact_c) <= 1e-9 * abs(exact_c)
+    assert check_steady_identity(sol, p.reaction) <= 1e-2
+    sweeps = full_grid_sweeps(stages)
+    assert len(sweeps) == len(full_grid_sweeps(exact_stages))
+    assert solves
+    if rho == 10.0:
+        # solved exactly, the (T, c) block escalates to LU here
+        assert all(record.tc_solver == record.omega_solver == front.TRANSFORM
+                   for record in sweeps)
+
+
 def test_front_krylov_matches_plain_splu_and_is_stateless(monkeypatch):
     p = _slanted_problem(33, 17, 0.3)
     factorizations = []
@@ -368,6 +407,9 @@ def test_front_krylov_matches_plain_splu_and_is_stateless(monkeypatch):
          front._bordered_system(ops, J, col, local)),
         (B_ww, front._vorticity_system(ops, B, p.sigma)),
     )
+    # the sweeps solve to the inexact-Newton forcing; this comparison asks
+    # GMRES for the exact solve
+    monkeypatch.setattr(front, "KRYLOV_RTOL", 1e-12)
     rng = np.random.default_rng(3)
     for matrix, (matvec, precondition, _) in systems:
         rhs = rng.standard_normal(matrix.shape[0])
@@ -453,21 +495,37 @@ def test_krylov_sweeps_assemble_no_skew_matrix(monkeypatch):
     assert assembled
 
 
-def test_sweep_records_carry_the_stage_updates():
+def test_sweep_records_carry_the_stage_updates(monkeypatch):
     # SweepRecord.update is what a stage compares with inner_tol, so a
     # stage's contraction rate can be read from its sweeps alone
     p = _slanted_problem(33, 17, 0.3)
     sol = find_front(p)
     assert len(sol.sweeps) == sol.iterations
     assert sol.sweeps[-1].update < p.continuation.inner_tol
+    # each sweep's new temperature, as the vorticity solve receives it
+    temperatures = []
+    solve_vorticity = front._StageState.solve_vorticity
+
+    def recording(self, T, *args):
+        temperatures.append(T.copy())
+        return solve_vorticity(self, T, *args)
+
+    monkeypatch.setattr(front._StageState, "solve_vorticity", recording)
     starved = replace(p, continuation=Continuation(c_tol=1e-3, max_inner=3))
+    # from the front squared, whose normalization residual is far from 0
     with pytest.raises(NonConvergenceError) as info:
         solve_steady_pinned(starved, 1.0, sol.c * 1.5,
-                            init=(sol.T.values, np.zeros(p.grid.shape)))
+                            init=(sol.T.values**2, np.zeros(p.grid.shape)))
     err = info.value
     assert len(err.sweeps) == 3
     assert err.residual_history == [s.update for s in err.sweeps]
     assert err.sweeps[-1].update >= p.continuation.inner_tol
+    # the message reports the normalization residual of the last sweep's
+    # temperature, the one the exit test compared, not the one before it
+    residuals = [front_residual(ScalarField(p.grid, T, temperature_bc()), p.reaction.theta0)
+                 for T in temperatures[-2:]]
+    assert f"residual {residuals[-1]:.3e}" in str(err)
+    assert f"residual {residuals[0]:.3e}" not in str(err)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,10 @@
 """Checkpoint format, CSV contract, config round-trips, CLI exit codes."""
 
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,10 +272,18 @@ def test_cli_laminar_speed(capsys):
 
 
 def test_cli_unknown_flag_exits_2(tmp_path):
+    # the subprocess finds the package the way bare pytest does (src on
+    # the path, no install) and runs in tmp_path, so that "nothing
+    # written" looks where a stray output would land
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "frontlab.cli", "laminar", "--bogus"],
         capture_output=True,
         text=True,
+        env=env,
+        cwd=tmp_path,
     )
     assert proc.returncode == 2
     assert not list(tmp_path.iterdir())
