@@ -35,15 +35,13 @@ from .grid import (
     BoundaryKind,
     ScalarField,
     StripGrid,
-    dx,
-    dz,
-    grad_sq_norm,
+    edge_grad_sq,
     integrate,
     make_grid,
     temperature_bc,
     vorticity_bc,
 )
-from .inequalities import DecayExperiment, FlowSpec, decay_experiment, nash_ratio, solve_n_of_t
+from .inequalities import DecayExperiment, FlowSpec, decay_experiment, nash_ratio
 from .laminar import LaminarProfile, ReactionModel, laminar_speed, profile_eval
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import (
-    ScalarField,
-    _trapezoid_weights,
-    dz_bc,
-    edge_grad_sq,
-    grad_sq_norm,
-    integrate,
-)
+from .grid import ScalarField, axis_weights, dz_bc, edge_grad_sq, integrate
 from .laminar import ReactionModel
 
 COLUMNS = (
@@ -128,8 +121,8 @@ def burning_rate(T: ScalarField, reaction: ReactionModel) -> float:
 
 
 def nusselt(T: ScalarField) -> float:
-    """Squared temperature gradient per unit strip width."""
-    return grad_sq_norm(T) / T.grid.lam
+    """Squared temperature gradient (edge_grad_sq) per unit strip width."""
+    return edge_grad_sq(T) / T.grid.lam
 
 
 def u_sup(flow) -> float:
@@ -182,7 +175,7 @@ def check_steady_identity(sol, reaction: ReactionModel) -> float:
     g = sol.T.grid
     T = sol.T.values
     lam = g.lam
-    wz = _trapezoid_weights(g.nz, g.hz)
+    _, wz = axis_weights(g)
     tx_right = (3.0 * T[-1, :] - 4.0 * T[-2, :] + T[-3, :]) / (2.0 * g.hx)
     flux = float(tx_right @ wz)
     energy = edge_grad_sq(sol.T)
@@ -200,7 +193,7 @@ def flux_identity_residual(sol, reaction: ReactionModel) -> float:
     """
     g = sol.T.grid
     T = sol.T.values
-    wz = _trapezoid_weights(g.nz, g.hz)
+    _, wz = axis_weights(g)
     tx_right = (3.0 * T[-1, :] - 4.0 * T[-2, :] + T[-3, :]) / (2.0 * g.hx)
     tx_left = (-3.0 * T[0, :] + 4.0 * T[1, :] - T[2, :]) / (2.0 * g.hx)
     flux = float((tx_right - tx_left) @ wz)

@@ -30,7 +30,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .diagnostics import TimeSeries, front_position, omega_enstrophy, u_sup, winn_functional
+from .diagnostics import (
+    TimeSeries,
+    front_position,
+    nusselt,
+    omega_enstrophy,
+    u_sup,
+    winn_functional,
+)
 from .elliptic import linear_lift, plan_for
 from .errors import BlowUpError, ConfigurationError, RecenterError
 from .flow import (
@@ -45,7 +52,6 @@ from .grid import (
     StripGrid,
     dx_bc,
     dz_bc,
-    gradient_energy,
     integrate,
     temperature_bc,
     vorticity_bc,
@@ -287,8 +293,8 @@ def _recenter(state: SimState, config: SimConfig, fp: float) -> SimState:
 def _observe(series: TimeSeries, state: SimState, config: SimConfig, fp: float):
     """Append the diagnostics row of a state whose front sits at fp.
 
-    V, N and Nz are burning_rate, nusselt and nz_norm, evaluated on the
-    state's f(T), T_x and T_z, which its next step uses again.
+    V and Nz are burning_rate and nz_norm, evaluated on the state's f(T)
+    and T_z, which its next step uses again.
     """
     g = config.grid
     d = _derived(state, config)
@@ -296,7 +302,7 @@ def _observe(series: TimeSeries, state: SimState, config: SimConfig, fp: float):
         series.append(
             t=state.t,
             V=integrate(ScalarField(g, d.fT)) / g.lam,
-            N=gradient_energy(state.T.values, d.Tx, d.Tz, g) / g.lam,
+            N=nusselt(state.T),
             U_sup=u_sup(state.flow),
             Nz=integrate(ScalarField(g, d.Tz * d.Tz)),
             Omega2=omega_enstrophy(state.omega),

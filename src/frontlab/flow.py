@@ -39,7 +39,7 @@ from .grid import (
     _bc_specs,
     _diff_ghost_axis,
     _ghost_values,
-    _trapezoid_weights,
+    axis_weights,
     dx_bc,
     dz_bc,
     laplacian,
@@ -83,11 +83,6 @@ class FlowState:
     v: ScalarField
     w: ScalarField
 
-    def u_sup(self) -> float:
-        return float(
-            max(np.abs(self.v.values).max(), np.abs(self.w.values).max())
-        )
-
     def max_interior_divergence(self) -> float:
         g = self.omega.grid
         dvdx = _diff_ghost_axis(self.v.values, g.hx, 0, _ZERO, _ZERO)
@@ -98,7 +93,7 @@ class FlowState:
     def max_column_mean(self) -> float:
         """Largest |integral of v over z| across columns; 0 up to round-off."""
         g = self.v.grid
-        wz = _trapezoid_weights(g.nz, g.hz)
+        _, wz = axis_weights(g)
         return float(np.abs(self.v.values @ wz).max())
 
 

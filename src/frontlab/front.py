@@ -69,7 +69,6 @@ depends only on its matrix.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property, lru_cache
 
@@ -169,6 +168,12 @@ def front_residual(T: ScalarField, theta0: float) -> float:
 
 # midpoints one continuation inserts before a failing stage raises
 MAX_HALVINGS = 4
+# tau stages of the planar homotopy, after the tau = 0 profile
+TAU_STEPS = 10
+# a pinned stage converges once its sweep update is below INNER_TOL, and
+# fails after MAX_SWEEPS sweeps
+INNER_TOL = 1e-8
+MAX_SWEEPS = 200
 
 # The cap of every GMRES solve: one cycle of at most KRYLOV_MAX_ITER
 # iterations must bring the residual to KRYLOV_RTOL times the right-hand
@@ -195,7 +200,7 @@ class SweepRecord:
     is TRANSFORM when the transform-preconditioned solve served, LU when
     sparse LU did.  omega_solver is None when the vorticity is decoupled.
     update is max(max|dT|, relative max|d omega|, |dc|), the quantity the
-    stage compares with inner_tol; its ratios over a stage's sweeps are
+    stage compares with INNER_TOL; its ratios over a stage's sweeps are
     the splitting's contraction rate.
     """
 
@@ -208,26 +213,17 @@ class SweepRecord:
 
 @dataclass
 class Continuation:
-    """Homotopy and inner-iteration settings.
+    """Stage exit tolerance on the front normalization.
 
-    A pinned stage exits once its update is below inner_tol and its
+    A pinned stage exits once its update is below INNER_TOL and its
     normalization residual below c_tol * 0.05 * a * theta0 * (1 - theta0).
     """
 
-    tau_steps: int = 10
-    inner_tol: float = 1e-8
     c_tol: float = 1e-4
-    max_inner: int = 200
 
     def __post_init__(self):
-        for name in ("tau_steps", "max_inner"):
-            value = getattr(self, name)
-            # a float (NaN included) would reach range() and np.linspace
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ConfigurationError(f"{name} must be an integer >= 1")
-        # each check is written so that NaN fails it
-        if not (0.0 < self.inner_tol < math.inf and 0.0 < self.c_tol < math.inf):
-            raise ConfigurationError("tolerances must be finite and positive")
+        if not 0.0 < self.c_tol < math.inf:  # NaN fails it
+            raise ConfigurationError("c_tol must be finite and positive")
 
 
 @dataclass
@@ -847,16 +843,15 @@ def solve_steady_pinned(
     """
     if not 0.0 < tau <= 1.0:
         raise ConfigurationError("pinned solves need tau in (0, 1]")
-    cfg = problem.continuation
     g = problem.grid
     f = problem.reaction
     theta0 = f.theta0
     st = _StageState(problem, tau, init, c_init)
     uT, right_half = st.ops.unknownT, st.ops.right_half
-    res_tol = cfg.c_tol * (0.05 * g.a * theta0 * (1.0 - theta0))
+    res_tol = problem.continuation.c_tol * (0.05 * g.a * theta0 * (1.0 - theta0))
 
     c = c_init
-    for it in range(1, cfg.max_inner + 1):
+    for it in range(1, MAX_SWEEPS + 1):
         A_lin, v, w = st.temperature_operator(c)
         Tflat = st.T.ravel()
         mask_used = st.mask.copy() if st.active_set else None
@@ -900,7 +895,7 @@ def solve_steady_pinned(
         mask_consistent = (not st.active_set) or bool(
             np.array_equal(mask_used, f.ignited(st.T))
         )
-        if update < cfg.inner_tol and abs(res_now) <= res_tol and mask_consistent:
+        if update < INNER_TOL and abs(res_now) <= res_tol and mask_consistent:
             return st.finish(c, it)
     raise NonConvergenceError(
         f"pinned Newton stalled at tau={tau:g}: update {update:.3e}, "
@@ -949,7 +944,6 @@ def find_front(problem: FrontProblem) -> FrontSolution:
     converged stage: trace[0] is the tau = 0 profile at c0, then the tau
     stages, then the rho stages, each recorded at tau = 1.
     """
-    cfg = problem.continuation
     planar = replace(problem, rho=0.0)
 
     g, theta0 = problem.grid, problem.reaction.theta0
@@ -958,7 +952,7 @@ def find_front(problem: FrontProblem) -> FrontSolution:
     trace = [(0.0, c0, front_residual(ScalarField(g, T0, temperature_bc()), theta0))]
     sol = _continue(
         lambda tau, c, init: solve_steady_pinned(planar, tau, c, init=init),
-        list(np.linspace(0.0, 1.0, cfg.tau_steps + 1)),
+        list(np.linspace(0.0, 1.0, TAU_STEPS + 1)),
         c0,
         (T0, np.zeros(g.shape)),
         trace,

@@ -4,14 +4,15 @@ The domain is the rectangle [-a, a] x [0, lam] with vertex-centered nodes,
 so Dirichlet values sit exactly on nodes and the 3-point Laplacian is
 diagonalized by discrete sine/cosine modes (see elliptic.py).
 
-All difference operators are second order and centered in the interior.
-At the edges dx/dz are one-sided 3-point; dx_bc/dz_bc/laplacian use one
-ghost node whose value follows the boundary condition (_ghost_values).
-The kernels write the interior by slices and the two end lines from the
-ghosts; along z they make one pass over the raveled array and then
-rewrite the wall columns.  Quadrature is trapezoidal in both directions,
-which keeps the discrete integration-by-parts identities used by the
-diagnostics exact (see edge_grad_sq).  Integrals are the products
+All difference operators are second order and centered: dx_bc/dz_bc and
+laplacian reach past each end through one ghost node whose value follows
+the boundary condition (_ghost_values).  The kernels write the interior
+by slices and the two end lines from the ghosts; along z they make one
+pass over the raveled array and then rewrite the wall columns.  The one
+gradient energy, edge_grad_sq, sums squared differences over grid edges.
+Quadrature is trapezoidal in both directions, which makes the discrete
+integration by parts between edge_grad_sq and laplacian exact, as the
+diagnostics' identities need.  Integrals are the products
 wx @ f @ wz of the per-axis weights, one BLAS pass and no temporary.
 axis_weights(grid), node_weights(grid) and grid.x are computed once per
 grid and are read-only.
@@ -225,6 +226,26 @@ def integrate(field: ScalarField) -> float:
     return float(wx @ field.values @ wz)
 
 
+def edge_grad_sq(field: ScalarField) -> float:
+    """The gradient energy: the Dirichlet energy matched to the 3-point Laplacian.
+
+    Sum over x-edges of wz*(df/hx)^2*hx plus the z-analogue.  For fields
+    that vanish on the boundary (or satisfy homogeneous Neumann walls)
+    this equals -(f, lap(f)) under trapezoidal weights exactly, which is
+    what the discrete energy identities require.
+    """
+    g = field.grid
+    f = field.values
+    wx, wz = axis_weights(g)
+    e = np.subtract(f[1:], f[:-1])
+    e *= e
+    sx = np.sum(e @ wz) / g.hx
+    e = np.subtract(f[:, 1:], f[:, :-1])
+    e *= e
+    sz = np.sum(wx @ e) / g.hz
+    return float(sx + sz)
+
+
 def _lines(a: np.ndarray, axis: int) -> np.ndarray:
     """a with `axis` first, as a view: index k is the k-th node line."""
     return a if axis == 0 else a.T
@@ -239,85 +260,6 @@ def _run(a: np.ndarray, axis: int) -> np.ndarray:
     neighbouring rows, so the kernels overwrite them from the ghosts.
     """
     return a if axis == 0 else a.reshape(-1)
-
-
-def _centered(values: np.ndarray, axis: int, scale: float):
-    """(f[k+1] - f[k-1]) * scale at the interior nodes of axis.
-
-    Returns the output and the axis-first views of input and output; the
-    caller writes the two end lines.
-    """
-    out = np.empty(values.shape)
-    f, o = _run(values, axis), _run(out, axis)
-    inner = o[1:-1]
-    np.subtract(f[2:], f[:-2], out=inner)
-    inner *= scale
-    return out, _lines(values, axis), _lines(out, axis)
-
-
-def _one_sided_ends(f: np.ndarray, scale: float):
-    """One-sided 3-point derivatives on the first and last line of axis 0."""
-    return (
-        (-3.0 * f[0] + 4.0 * f[1] - f[2]) * scale,
-        (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) * scale,
-    )
-
-
-def _diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second-order derivative: centered interior, one-sided 3-point edges."""
-    out, f, o = _centered(values, axis, 0.5 / h)
-    o[0], o[-1] = _one_sided_ends(f, 0.5 / h)
-    return out
-
-
-def dx(field: ScalarField) -> ScalarField:
-    return ScalarField(field.grid, _diff_axis(field.values, field.grid.hx, 0), None)
-
-
-def dz(field: ScalarField) -> ScalarField:
-    return ScalarField(field.grid, _diff_axis(field.values, field.grid.hz, 1), None)
-
-
-def grad_sq_norm(field: ScalarField) -> float:
-    """Integral of |grad f|^2 with the module stencils; nonnegative."""
-    g = field.grid
-    f = field.values
-    return gradient_energy(f, _diff_axis(f, g.hx, 0), _diff_axis(f, g.hz, 1), g)
-
-
-def gradient_energy(f: np.ndarray, fx: np.ndarray, fz: np.ndarray, grid: StripGrid) -> float:
-    """grad_sq_norm of f, given any derivatives fx, fz that are centered inside.
-
-    Only the interior lines of fx (along x) and fz (along z) are read; the
-    end and wall lines are the one-sided 3-point derivatives of dx/dz.  So
-    the ghost derivatives dx_bc/dz_bc serve as well as dx/dz.
-    """
-    wx, wz = axis_weights(grid)
-    rows = np.square(fx) @ wz  # z-integral of fx^2 on each x-line
-    cols = wx @ np.square(fz)  # x-integral of fz^2 on each z-line
-    for sums, lines, h, w in ((rows, f, grid.hx, wz), (cols, f.T, grid.hz, wx)):
-        lo, hi = _one_sided_ends(lines, 0.5 / h)
-        sums[0], sums[-1] = (lo * lo) @ w, (hi * hi) @ w
-    return float(wx @ rows + cols @ wz)
-
-
-def edge_grad_sq(field: ScalarField) -> float:
-    """Edge-based Dirichlet energy matched to the 3-point Laplacian.
-
-    Sum over x-edges of wz*(df/hx)^2*hx plus the z-analogue.  For fields
-    that vanish on the boundary (or satisfy homogeneous Neumann walls)
-    this equals -(f, lap(f)) under trapezoidal weights exactly, which is
-    what the discrete energy identities require.
-    """
-    g = field.grid
-    f = field.values
-    wz = _trapezoid_weights(g.nz, g.hz)
-    wx = _trapezoid_weights(g.nx, g.hx)
-    ex = np.diff(f, axis=0)
-    ez = np.diff(f, axis=1)
-    sx = np.sum((ex * ex) @ wz) / g.hx
-    sz = np.sum(wx @ (ez * ez)) / g.hz
-    return float(sx + sz)
 
 
 def _ghost_values(f: np.ndarray, lo_spec, hi_spec):
@@ -385,7 +327,12 @@ def laplacian(field: ScalarField) -> ScalarField:
 def _diff_ghost_axis(values: np.ndarray, h: float, axis: int, lo_spec, hi_spec) -> np.ndarray:
     """Centered derivative everywhere, boundary nodes via ghost extension."""
     scale = 0.5 / h
-    out, f, o = _centered(values, axis, scale)
+    out = np.empty(values.shape)
+    f, o = _run(values, axis), _run(out, axis)
+    inner = o[1:-1]
+    np.subtract(f[2:], f[:-2], out=inner)
+    inner *= scale
+    f, o = _lines(values, axis), _lines(out, axis)
     lo, hi = _ghost_values(f, lo_spec, hi_spec)
     o[0] = (f[1] - lo) * scale
     o[-1] = (hi - f[-2]) * scale
@@ -396,8 +343,8 @@ def dx_bc(field: ScalarField) -> ScalarField:
     """x-derivative using the field's boundary extension at the ends.
 
     For Dirichlet fields this is the antisymmetric-ghost stencil that
-    makes the discrete incompressibility identities exact; interior nodes
-    coincide with dx().
+    makes the discrete incompressibility identities exact; at interior
+    nodes it is the plain centered difference.
     """
     if field.bc is None:
         raise ConfigurationError("dx_bc needs a field with a boundary descriptor")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diagnostics import COLUMNS, check_winn_inequality, front_position, nz_norm
+from .diagnostics import COLUMNS, check_winn_inequality, front_position, nz_norm, u_sup
 from .errors import BlowUpError, ConfigurationError, NumericalError
 from .evolve import SimConfig, run
 from .flow import GravityDir
@@ -82,7 +82,7 @@ def _front_observables(sol: FrontSolution, reaction: ReactionModel) -> dict:
     return {
         "c": sol.c,
         "Tz2": nz_norm(sol.T),
-        "u_sup": sol.flow.u_sup(),
+        "u_sup": u_sup(sol.flow),
         "f_int": integrate(ScalarField(g, reaction(sol.T.values))),
         "gradT2": edge_grad_sq(sol.T),
         "grad_omega2": edge_grad_sq(sol.omega),

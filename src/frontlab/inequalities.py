@@ -1,5 +1,5 @@
-"""Functional-inequality laboratory: strip Nash ratio, the implicit decay
-rate, and flow-uniform L1 -> Linf decay of advection-diffusion.
+"""Functional-inequality laboratory: the strip Nash ratio and flow-uniform
+L1 -> Linf decay of advection-diffusion.
 
 The decay experiments run on a periodic-in-x strip (the statement is
 translation invariant; periodicity removes end effects) with Neumann
@@ -25,8 +25,8 @@ from .grid import (
     PERIODIC,
     ScalarField,
     _diff_ghost_axis,
-    _trapezoid_weights,
-    grad_sq_norm,
+    axis_weights,
+    edge_grad_sq,
     integrate,
     make_grid,
     periodic_bc,
@@ -49,35 +49,8 @@ def nash_ratio(psi: ScalarField, lam: float) -> float:
     l1 = integrate(ScalarField(g, np.abs(vals)))
     l2sq = integrate(ScalarField(g, vals * vals))
     l2 = math.sqrt(l2sq)
-    grad2 = grad_sq_norm(psi)
+    grad2 = edge_grad_sq(psi)
     return grad2 * (l1**4 + lam**3 * l1 * l2**3) / (lam**2 * l2**6)
-
-
-def solve_n_of_t(t: float, lam: float, sigma: float, C: float) -> float:
-    """Unique n with n^4 / (1 + n^3 lam^3) = C / (sigma lam^2 t).
-
-    The left side increases from 0 to infinity, so bisection on an
-    expanding bracket is safe; relative tolerance 1e-12.
-    """
-    if min(t, lam, sigma, C) <= 0:
-        raise ConfigurationError("all arguments must be positive")
-    target = C / (sigma * lam**2 * t)
-
-    def lhs(n):
-        return n**4 / (1.0 + n**3 * lam**3)
-
-    lo, hi = 0.0, 1.0
-    while lhs(hi) < target:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ConfigurationError("decay-rate bracket overflow")
-    while (hi - lo) > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -150,7 +123,7 @@ class _PeriodicStrip:
         g = self.grid
         self.X, self.Z = np.meshgrid(g.hx * np.arange(exp.nx), g.z, indexing="ij")
         # flat, C-ordered like the fields, so each norm is one dot product
-        self.weights = np.tile(g.hx * _trapezoid_weights(g.nz, g.hz), exp.nx)
+        self.weights = np.tile(g.hx * axis_weights(g)[1], exp.nx)
 
     def divergence(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """d(v)/dx + d(w)/dz for w vanishing oddly at the walls."""
@@ -246,21 +219,6 @@ def _decay_series(rows: list, metadata: dict) -> DecaySeries:
         mass=arr[:, 4],
         metadata=metadata,
     )
-
-
-def fit_l2_decay_constant(series: DecaySeries, lam: float, sigma: float,
-                          t_lo: float = 1.0) -> float:
-    """Smallest C making |psi(t)|_2 <= n_C(t) |psi0|_1 on t >= t_lo.
-
-    Inverts the decay-rate relation at each sample: the required C is
-    sigma lam^2 t z^4 / (1 + lam^3 z^3) with z = |psi|_2 / |psi0|_1.
-    """
-    l10 = series.l1[0]
-    keep = series.t >= t_lo
-    z = series.l2[keep] / l10
-    t = series.t[keep]
-    c_needed = sigma * lam**2 * t * z**4 / (1.0 + lam**3 * z**3)
-    return float(c_needed.max())
 
 
 def decay_constant_sup(series: DecaySeries, lam: float, sigma: float,

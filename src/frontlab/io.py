@@ -118,7 +118,6 @@ _SECTIONS = {
     "grid": {"nx", "nz"},
     "physics": {"rho", "sigma", "theta0", "reaction_kind", "amplitude", "e1", "e2"},
     "run": {"t_end", "dt", "cfl_safety", "recenter", "seed"},
-    "sweep": {"param", "values", "window"},
 }
 
 
@@ -147,7 +146,7 @@ def parse_config(text: str) -> dict:
 
 def serialize_config(cfg: dict) -> str:
     buf = _io.StringIO()
-    for section in ("domain", "grid", "physics", "run", "sweep"):
+    for section in ("domain", "grid", "physics", "run"):
         if section not in cfg:
             continue
         buf.write(f"[{section}]\n")

@@ -114,7 +114,7 @@ def test_criterion_02_tau0_exactness():
         FrontProblem(
             grid=make_grid(a, lam, 129, 9),
             reaction=ReactionModel("step_linear", theta0),
-            continuation=Continuation(c_tol=1e-3, tau_steps=4),
+            continuation=Continuation(c_tol=1e-3),
         )
     )
     c_trace = full.trace[0][1]

@@ -45,7 +45,7 @@ def test_init_front_like_shape():
     assert np.all(st.T.values[X > 4.0 + 1e-9, :] == 0.0)
     mid = st.T.values[:, 0]
     assert np.all(np.diff(mid) <= 1e-12)
-    assert st.flow.u_sup() == 0.0
+    assert not st.flow.v.values.any() and not st.flow.w.values.any()
 
 
 def test_init_rejects_wide_interface():

@@ -12,18 +12,19 @@ from frontlab.grid import (
     BCEnd,
     BoundaryKind,
     ScalarField,
-    _diff_axis,
     _diff_ghost_axis,
+    all_neumann_bc,
     constant_field,
-    dx,
-    dz,
+    dx_bc,
+    dz_bc,
+    edge_grad_sq,
     field_from_function,
-    grad_sq_norm,
     integrate,
     laplacian,
     make_grid,
     node_weights,
     temperature_bc,
+    vorticity_bc,
 )
 
 
@@ -92,46 +93,75 @@ def test_grad_sq_norm_linear_ramp():
     a, lam = 5.0, 2.0
     g = make_grid(a, lam, 41, 21)
     f = field_from_function(g, lambda X, Z: X / (2 * a) + 0.5)
-    assert grad_sq_norm(f) == pytest.approx(lam / (2 * a), rel=1e-12)
+    assert edge_grad_sq(f) == pytest.approx(lam / (2 * a), rel=1e-12)
 
 
 def test_grad_sq_norm_cosine_mode():
     # analytic integral of the squared z-gradient: 2a * (pi/lam)^2 * lam/2
     g = make_grid(1.0, 1.0, 33, 64)
     f = field_from_function(g, lambda X, Z: np.cos(np.pi * Z / g.lam))
-    assert grad_sq_norm(f) == pytest.approx(np.pi**2, rel=0.02)
+    assert edge_grad_sq(f) == pytest.approx(np.pi**2, rel=0.02)
 
 
 def test_grad_sq_norm_constant_zero():
     g = make_grid(1.0, 1.0, 16, 16)
-    assert grad_sq_norm(constant_field(g, 3.7)) <= 1e-28
+    assert edge_grad_sq(constant_field(g, 3.7)) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bc=st.sampled_from([temperature_bc(0.0, 0.0), vorticity_bc()]),
+    nx=st.integers(8, 40),
+    nz=st.integers(8, 40),
+    a=st.floats(0.1, 20.0),
+    lam=st.floats(0.1, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_edge_grad_sq_is_minus_f_dot_laplacian(bc, nx, nz, a, lam, seed):
+    # discrete integration by parts: exact for zero ends and zero or
+    # Neumann walls, which is what the energy identities rely on
+    g = make_grid(a, lam, nx, nz)
+    f = np.random.default_rng(seed).standard_normal(g.shape)
+    f[0, :] = f[-1, :] = 0.0
+    if bc.z_walls == "dirichlet_zero":
+        f[:, 0] = f[:, -1] = 0.0
+    field = ScalarField(g, f, bc)
+    by_parts = -float(np.sum(node_weights(g) * f * laplacian(field).values))
+    assert edge_grad_sq(field) == pytest.approx(by_parts, rel=1e-12)
 
 
 def test_dx_of_x_exact():
+    # the Dirichlet ghosts continue the ramp, so the ends are exact too
     g = make_grid(2.0, 1.0, 17, 9)
-    f = field_from_function(g, lambda X, Z: X)
-    d = dx(f).values
+    bc = BoundaryKind(BCEnd(DIRICHLET, -g.a), BCEnd(DIRICHLET, g.a), "neumann_zero")
+    d = dx_bc(field_from_function(g, lambda X, Z: X, bc)).values
     assert np.abs(d - 1.0).max() < 1e-13
 
 
 def test_dx_of_constant_zero():
     g = make_grid(2.0, 1.0, 17, 9)
-    d = dx(constant_field(g, 4.0)).values
+    d = dx_bc(constant_field(g, 4.0, all_neumann_bc())).values
     assert np.abs(d).max() == 0.0
 
 
 def _max_err_dz_cos(nz):
+    # cos(pi z / lam) is even about both walls, as the Neumann ghost assumes
     g = make_grid(1.0, 1.0, 17, nz)
-    f = field_from_function(g, lambda X, Z: np.cos(np.pi * Z / g.lam))
+    f = field_from_function(g, lambda X, Z: np.cos(np.pi * Z / g.lam), temperature_bc())
     exact = field_from_function(
         g, lambda X, Z: -(np.pi / g.lam) * np.sin(np.pi * Z / g.lam)
     )
-    return np.abs(dz(f).values - exact.values).max()
+    return np.abs(dz_bc(f).values - exact.values).max()
 
 
 def test_dz_second_order_by_refinement():
     ratio = _max_err_dz_cos(33) / _max_err_dz_cos(65)
     assert 3.6 <= ratio <= 4.4
+
+
+def _centered(f, h, axis):
+    """The centered difference; its interior nodes do not depend on the ghost rule."""
+    return _diff_ghost_axis(f, h, axis, (NEUMANN, 0.0), (NEUMANN, 0.0))
 
 
 def _refinement_ratio(op_err, base=(33, 17)):
@@ -151,17 +181,19 @@ def test_refinement_ratios_for_all_operators():
 
     def err_dx(nx, nz):
         g = make_grid(2.0, 3.0, nx, nz)
-        return np.abs(dx(field_from_function(g, fn)).values - field_from_function(g, fx).values).max()
+        d = _centered(field_from_function(g, fn).values, g.hx, 0)
+        return np.abs(d - field_from_function(g, fx).values)[1:-1, 1:-1].max()
 
     def err_dz(nx, nz):
         g = make_grid(2.0, 3.0, nx, nz)
-        return np.abs(dz(field_from_function(g, fn)).values - field_from_function(g, fz).values).max()
+        d = _centered(field_from_function(g, fn).values, g.hz, 1)
+        return np.abs(d - field_from_function(g, fz).values)[1:-1, 1:-1].max()
 
     def err_gsq(nx, nz):
         g = make_grid(2.0, 3.0, nx, nz)
-        approx = grad_sq_norm(field_from_function(g, fn))
+        approx = edge_grad_sq(field_from_function(g, fn))
         gg = make_grid(2.0, 3.0, 513, 385)
-        ref = grad_sq_norm(field_from_function(gg, fn))
+        ref = edge_grad_sq(field_from_function(gg, fn))
         return abs(approx - ref)
 
     for err in (err_dx, err_dz, err_gsq):
@@ -173,18 +205,18 @@ def test_mixed_derivatives_commute_exactly_on_dyadic_grid():
     # so the two compositions must agree bitwise on interior nodes
     g = make_grid(1.0, 1.0, 9, 9)
     rng = np.random.default_rng(3)
-    f = ScalarField(g, rng.integers(-50, 50, size=g.shape).astype(float))
-    ab = dz(dx(f)).values[1:-1, 1:-1]
-    ba = dx(dz(f)).values[1:-1, 1:-1]
+    f = rng.integers(-50, 50, size=g.shape).astype(float)
+    ab = _centered(_centered(f, g.hx, 0), g.hz, 1)[1:-1, 1:-1]
+    ba = _centered(_centered(f, g.hz, 1), g.hx, 0)[1:-1, 1:-1]
     assert np.array_equal(ab, ba)
 
 
 def test_mixed_derivatives_commute_generally():
     g = make_grid(1.5, 2.0, 33, 21)
     rng = np.random.default_rng(5)
-    f = ScalarField(g, rng.standard_normal(g.shape))
-    ab = dz(dx(f)).values[1:-1, 1:-1]
-    ba = dx(dz(f)).values[1:-1, 1:-1]
+    f = rng.standard_normal(g.shape)
+    ab = _centered(_centered(f, g.hx, 0), g.hz, 1)[1:-1, 1:-1]
+    ba = _centered(_centered(f, g.hz, 1), g.hx, 0)[1:-1, 1:-1]
     scale = max(np.abs(ab).max(), 1.0)
     assert np.abs(ab - ba).max() <= 1e-12 * scale
 
@@ -234,15 +266,6 @@ def _ref_laplacian(values, hx, hz, xlo, xhi, zspec):
     return lap
 
 
-def _ref_diff_axis(values, h, axis):
-    f = np.moveaxis(values, axis, 0)
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) * (0.5 / h)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) * (0.5 / h)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) * (0.5 / h)
-    return np.moveaxis(out, 0, axis)
-
-
 _END_SPECS = [(DIRICHLET, 0.0), (DIRICHLET, 1.0), (NEUMANN, 0.0)]
 _SPEC_PAIRS = [(lo, hi) for lo in _END_SPECS for hi in _END_SPECS] + [
     ((PERIODIC, 0.0), (PERIODIC, 0.0))
@@ -261,7 +284,6 @@ def test_derivative_kernels_match_the_padded_stencils_bitwise(axis, specs, nx, n
     f = np.random.default_rng(seed).standard_normal((nx, nz))
     lo, hi = specs
     assert np.array_equal(_diff_ghost_axis(f, h, axis, lo, hi), _ref_diff_ghost(f, h, axis, lo, hi))
-    assert np.array_equal(_diff_axis(f, h, axis), _ref_diff_axis(f, h, axis))
 
 
 @settings(max_examples=40, deadline=None)

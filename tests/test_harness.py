@@ -26,7 +26,7 @@ def _quick_problem(rho, ehat=None, **kw):
         reaction=ReactionModel(kw.pop("kind", "quad_ignition"), 0.25),
         rho=rho,
         ehat=ehat or GravityDir.normalized(1.0, 1.0),
-        continuation=Continuation(c_tol=2e-3, tau_steps=6),
+        continuation=Continuation(c_tol=2e-3),
     )
 
 

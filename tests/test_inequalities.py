@@ -1,46 +1,20 @@
-"""Nash ratio, implicit decay rate, and flow-uniform decay checks."""
+"""Nash ratio and flow-uniform decay checks."""
 
 import numpy as np
 import pytest
 
 from frontlab.elliptic import EllipticPlan
 from frontlab.errors import BlowUpError, ConfigurationError
-from frontlab.grid import field_from_function, make_grid
+from frontlab.grid import ScalarField, field_from_function, integrate, make_grid
 from frontlab.inequalities import (
     DecayExperiment,
     FlowSpec,
     decay_constant_sup,
     decay_experiment,
-    fit_l2_decay_constant,
     max_divergence,
     nash_fuzz_corpus,
     nash_ratio,
-    solve_n_of_t,
 )
-
-
-def test_n_of_t_pinned_root():
-    # root of n^4/(1+n^3) = 1, from high-precision bisection
-    assert solve_n_of_t(1.0, 1.0, 1.0, 1.0) == pytest.approx(
-        1.3802775690976141, rel=1e-11
-    )
-
-
-def test_n_of_t_large_time_asymptotics():
-    lam, sigma, C = 2.0, 0.7, 2.5
-    for t in (1e7, 1e9):
-        n = solve_n_of_t(t, lam, sigma, C)
-        assert n**2 * lam * np.sqrt(sigma * t) == pytest.approx(np.sqrt(C), rel=1e-4)
-
-
-def test_n_of_t_monotone_decreasing():
-    for t in (0.1, 1.0, 7.0, 50.0):
-        assert solve_n_of_t(2 * t, 1.0, 1.0, 1.0) < solve_n_of_t(t, 1.0, 1.0, 1.0)
-
-
-def test_n_of_t_validates_arguments():
-    with pytest.raises(ConfigurationError):
-        solve_n_of_t(0.0, 1.0, 1.0, 1.0)
 
 
 def test_nash_ratio_scale_invariance():
@@ -55,10 +29,17 @@ def test_nash_ratio_scale_invariance():
 
 
 def test_nash_ratio_single_mode_pin():
-    # regression pin, from direct evaluation on this exact grid
+    # cos(pi z / lam) is the first Neumann mode of the 3-point z-Laplacian,
+    # so its gradient energy is -mu1 |f|_2^2 with the discrete eigenvalue mu1
     g = make_grid(8.0, 2.0, 257, 65)
     f = field_from_function(g, lambda X, Z: np.cos(np.pi * Z / g.lam))
-    assert nash_ratio(f, g.lam) == pytest.approx(439.4528817884, rel=1e-9)
+    mu1 = -(4.0 / g.hz**2) * np.sin(np.pi / (2 * (g.nz - 1))) ** 2
+    l1 = integrate(ScalarField(g, np.abs(f.values)))
+    l2 = np.sqrt(integrate(ScalarField(g, f.values**2)))
+    lam = g.lam
+    closed_form = -mu1 * l2**2 * (l1**4 + lam**3 * l1 * l2**3) / (lam**2 * l2**6)
+    assert closed_form == pytest.approx(439.7177113968023, rel=1e-12)
+    assert nash_ratio(f, lam) == pytest.approx(closed_form, rel=1e-9)
 
 
 def test_nash_ratio_rejects_zero_field():
@@ -109,16 +90,6 @@ def test_flow_uniform_decay_constant_short():
         s = decay_experiment(_short_exp(spec, t_end=6.0))
         consts.append(decay_constant_sup(s, 1.0, 1.0, 1.0, 6.0))
     assert max(consts) / min(consts) <= 2.0
-
-
-def test_l2_bound_transfers_across_flows():
-    zero = decay_experiment(_short_exp(FlowSpec(), t_end=6.0))
-    C = fit_l2_decay_constant(zero, 1.0, 1.0)
-    s = decay_experiment(_short_exp(FlowSpec("cellular", 5.0, 3, 1), t_end=6.0))
-    keep = s.t >= 1.0
-    z = s.l2[keep] / s.l1[0]
-    bound = np.array([solve_n_of_t(t, 1.0, 1.0, C) for t in s.t[keep]])
-    assert np.all(z <= bound * (1.0 + 1e-9))
 
 
 def test_short_decay_regression_pin():

@@ -230,6 +230,12 @@ def test_config_rejects_unknown_keys():
         fio.parse_config("[mystery]\nx = 1\n")
 
 
+def test_config_rejects_the_sweep_section():
+    # sweeps are run by `frontlab verify`, not described in a config
+    with pytest.raises(ConfigurationError):
+        fio.parse_config(CONFIG_TEXT + "\n[sweep]\nparam = rho\nvalues = 0, 0.1\n")
+
+
 def test_config_values_are_literal():
     # '%' is not interpolation syntax; a config that looks like it is
     # either parses to the literal text or is a ConfigurationError
